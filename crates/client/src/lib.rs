@@ -18,14 +18,13 @@
 //! assert!(reports.is_empty() || reports[0].0 == 7);
 //! ```
 
+use latch_proto::transport::{read_msg, write_msg, Stream};
 use latch_proto::{
-    error_code, migrate_chunk, read_msg, write_msg, Endpoint, Msg, ProtoError, WireRejected,
-    WireSlo, MAX_FRAME_PAYLOAD, MIGRATE_CHUNK_BYTES, PROTO_VERSION,
+    error_code, migrate_chunk, Endpoint, Msg, ProtoError, WireRejected, WireSlo,
+    MAX_FRAME_PAYLOAD, MIGRATE_CHUNK_BYTES, PROTO_VERSION,
 };
 use latch_sim::event::Event;
-use std::io::{self, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
-use std::os::unix::net::UnixStream;
+use std::io;
 use std::time::Duration;
 
 /// Everything that can go wrong on the client side of the wire.
@@ -83,39 +82,9 @@ impl From<ProtoError> for ClientError {
     }
 }
 
-enum Conn {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            Conn::Unix(s) => s.flush(),
-        }
-    }
-}
-
 /// A blocking connection to a `latchd` front door.
 pub struct Client {
-    conn: Conn,
+    conn: Stream,
     /// In-flight window granted by the server's `HelloAck`.
     window_events: u32,
     /// Cumulative events the server has acknowledged admitting.
@@ -144,11 +113,7 @@ impl Client {
         window_events: u32,
         want_slo: bool,
     ) -> Result<Self, ClientError> {
-        let conn = match endpoint {
-            Endpoint::Tcp(addr) => Conn::Tcp(TcpStream::connect(addr.as_str())?),
-            Endpoint::Unix(path) => Conn::Unix(UnixStream::connect(path)?),
-        };
-        Self::handshake(conn, window_events, want_slo)
+        Self::handshake(Stream::connect(endpoint, None)?, window_events, want_slo)
     }
 
     /// [`connect`](Self::connect) with a bound on how long the TCP
@@ -166,34 +131,11 @@ impl Client {
         want_slo: bool,
         connect_timeout: Duration,
     ) -> Result<Self, ClientError> {
-        let conn = match endpoint {
-            Endpoint::Tcp(addr) => {
-                let mut last: Option<io::Error> = None;
-                let mut stream = None;
-                for sockaddr in addr.as_str().to_socket_addrs()? {
-                    match TcpStream::connect_timeout(&sockaddr, connect_timeout) {
-                        Ok(s) => {
-                            stream = Some(s);
-                            break;
-                        }
-                        Err(e) => last = Some(e),
-                    }
-                }
-                match stream {
-                    Some(s) => Conn::Tcp(s),
-                    None => {
-                        return Err(ClientError::Io(last.unwrap_or_else(|| {
-                            io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
-                        })))
-                    }
-                }
-            }
-            Endpoint::Unix(path) => Conn::Unix(UnixStream::connect(path)?),
-        };
+        let conn = Stream::connect(endpoint, Some(connect_timeout))?;
         Self::handshake(conn, window_events, want_slo)
     }
 
-    fn handshake(conn: Conn, window_events: u32, want_slo: bool) -> Result<Self, ClientError> {
+    fn handshake(conn: Stream, window_events: u32, want_slo: bool) -> Result<Self, ClientError> {
         let mut client = Self {
             conn,
             window_events,
@@ -277,8 +219,9 @@ impl Client {
     /// # Errors
     ///
     /// [`ClientError::Server`] with
-    /// [`error_code::DRAIN_TIMEOUT`] if the server's drain deadline
-    /// expired; transport and protocol failures otherwise.
+    /// [`error_code::DRAIN_TIMEOUT`] when a router's drain ran out of
+    /// failover retries (retry the drain); transport and protocol
+    /// failures otherwise.
     pub fn drain(&mut self) -> Result<Vec<(u64, Vec<u8>)>, ClientError> {
         write_msg(&mut self.conn, &Msg::Drain)?;
         match self.next_reply()? {
@@ -559,7 +502,7 @@ impl Client {
     /// no matter which command drew it.
     fn next_reply(&mut self) -> Result<Msg, ClientError> {
         loop {
-            match read_msg(&mut self.conn)? {
+            match read_msg(&mut self.conn, None)? {
                 Some(Msg::SloPush(report)) => self.slo.push(report),
                 Some(Msg::StaleRouter { epoch }) => {
                     return Err(ClientError::StaleRouter { epoch })

@@ -22,12 +22,16 @@
 //! checked, and every malformed byte sequence yields a typed
 //! [`ProtoError`] — never a panic (see the exhaustive bit-flip and
 //! truncation tests at the bottom of this file).
+//!
+//! Socket I/O — streams, the listener, the one frame reader and the
+//! per-connection server loop — lives in [`transport`].
 
 use latch_core::snapshot::{crc32, SnapWriter};
 use latch_sim::event::{Event, EventSource};
 use latch_sim::trace::{TraceReader, TraceWriter};
 use std::fmt;
-use std::io::{Read, Write};
+
+pub mod transport;
 
 /// Protocol magic, carried in every [`Msg::Hello`]: "LTWP" (LaTch Wire
 /// Protocol). A peer that is not speaking this protocol at all is
@@ -95,7 +99,8 @@ pub mod error_code {
     pub const PROTOCOL: u8 = 1;
     /// A `Report` arrived before the service drained.
     pub const NOT_DRAINED: u8 = 2;
-    /// The drain deadline expired with batches still in flight.
+    /// A router's drain met more node deaths than its failover budget
+    /// allows; the drain is idempotent, so the client retries it.
     pub const DRAIN_TIMEOUT: u8 = 3;
     /// The endpoint is a warm standby that has not taken over yet; the
     /// client should retry against the active router.
@@ -1301,70 +1306,6 @@ impl Msg {
     }
 }
 
-// ---- blocking stream IO --------------------------------------------------
-
-fn read_full<R: Read>(
-    r: &mut R,
-    buf: &mut [u8],
-    clean_eof_ok: bool,
-) -> Result<bool, ProtoError> {
-    let mut n = 0;
-    while n < buf.len() {
-        match r.read(&mut buf[n..]) {
-            Ok(0) => {
-                return if n == 0 && clean_eof_ok {
-                    Ok(false)
-                } else {
-                    Err(ProtoError::ShortFrame)
-                };
-            }
-            Ok(k) => n += k,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ProtoError::Io(e.kind())),
-        }
-    }
-    Ok(true)
-}
-
-/// Writes one framed message to a blocking stream.
-///
-/// # Errors
-///
-/// [`ProtoError::OversizedFrame`] if the message cannot be framed, or
-/// [`ProtoError::Io`] on transport failure.
-pub fn write_msg<W: Write>(w: &mut W, msg: &Msg) -> Result<(), ProtoError> {
-    let frame = msg.encode()?;
-    w.write_all(&frame)
-        .and_then(|()| w.flush())
-        .map_err(|e| ProtoError::Io(e.kind()))
-}
-
-/// Reads one framed message from a blocking stream. Returns `Ok(None)`
-/// on a clean EOF at a frame boundary (the peer hung up between
-/// messages); EOF inside a frame is [`ProtoError::ShortFrame`]. The
-/// length prefix is bounded **before** the payload buffer is allocated.
-///
-/// # Errors
-///
-/// A typed [`ProtoError`] for torn, hostile, or malformed frames.
-pub fn read_msg<R: Read>(r: &mut R) -> Result<Option<Msg>, ProtoError> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    if !read_full(r, &mut header, true)? {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(ProtoError::OversizedFrame { len: len as u64 });
-    }
-    let want_crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    let mut payload = vec![0u8; len];
-    read_full(r, &mut payload, false)?;
-    if crc32(&payload) != want_crc {
-        return Err(ProtoError::BadCrc);
-    }
-    Msg::decode_payload(&payload).map(Some)
-}
-
 // ---- endpoints -----------------------------------------------------------
 
 /// A listen/connect address: `tcp:HOST:PORT` or `unix:PATH`.
@@ -1405,6 +1346,7 @@ impl fmt::Display for Endpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::read_msg;
     use latch_sim::event::VecSource;
 
     fn sample_events(n: u32) -> Vec<Event> {
@@ -1780,7 +1722,7 @@ mod tests {
         // Same through the stream reader: no allocation happens.
         let mut cursor = std::io::Cursor::new(bytes);
         assert_eq!(
-            read_msg(&mut cursor),
+            read_msg(&mut cursor, None),
             Err(ProtoError::OversizedFrame {
                 len: u64::from(u32::MAX)
             })
@@ -1859,7 +1801,7 @@ mod tests {
                 // typed ShortFrame (or clean EOF at zero), not a hang
                 // or a panic.
                 let mut cursor = std::io::Cursor::new(frame[..cut].to_vec());
-                match read_msg(&mut cursor) {
+                match read_msg(&mut cursor, None) {
                     Ok(None) => assert_eq!(cut, 0, "clean EOF only at a frame boundary"),
                     Ok(Some(_)) => panic!("{msg:?}: cut at {cut} decoded"),
                     Err(_) => {}
@@ -1929,9 +1871,9 @@ mod tests {
         }
         let mut cursor = std::io::Cursor::new(stream);
         for msg in &msgs {
-            assert_eq!(read_msg(&mut cursor).unwrap().as_ref(), Some(msg));
+            assert_eq!(read_msg(&mut cursor, None).unwrap().as_ref(), Some(msg));
         }
-        assert_eq!(read_msg(&mut cursor).unwrap(), None, "clean EOF");
+        assert_eq!(read_msg(&mut cursor, None).unwrap(), None, "clean EOF");
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! `latch-client` pointed at the router cannot tell it from a single
 //! `latchd` node.
 //!
-//! One accept loop, one handler thread per connection, all sharing the
-//! deterministic [`Router`] behind a mutex — the same discipline as
-//! `latch-serve`'s `WireServer`. A heartbeat thread drives
+//! The socket side is the shared [`latch_proto::transport`] server —
+//! the same accept loop, frame reader and handshake as `latch-serve`'s
+//! `WireServer` — with one handler thread per connection, all sharing
+//! the deterministic [`Router`] behind a mutex. A heartbeat thread drives
 //! [`Router::tick`] on a fixed cadence; when a node exhausts its miss
 //! budget (or a forward fails mid-submit), the [`Exporter`] callback is
 //! asked for the dead node's surviving durable state and
@@ -16,12 +17,11 @@
 use crate::{Router, RouterError, TakeoverRecord};
 use latch_client::Client;
 use latch_obs::TraceEvent;
-use latch_proto::{error_code, write_msg, Endpoint, Msg, ProtoError};
+use latch_proto::transport::{Handler, Server};
+use latch_proto::{error_code, Endpoint, Msg};
 use latch_serve::SessionExport;
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -62,85 +62,6 @@ impl Default for RouterServerConfig {
     }
 }
 
-enum Conn {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            Conn::Unix(s) => s.flush(),
-        }
-    }
-}
-
-impl Conn {
-    fn set_read_timeout(&self, d: Duration) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_read_timeout(Some(d)),
-            Conn::Unix(s) => s.set_read_timeout(Some(d)),
-        }
-    }
-}
-
-enum Listener {
-    Tcp(TcpListener),
-    Unix(UnixListener, std::path::PathBuf),
-}
-
-impl Listener {
-    fn bind(endpoint: &Endpoint) -> io::Result<Self> {
-        match endpoint {
-            Endpoint::Tcp(addr) => {
-                let l = TcpListener::bind(addr.as_str())?;
-                l.set_nonblocking(true)?;
-                Ok(Listener::Tcp(l))
-            }
-            Endpoint::Unix(path) => {
-                let _ = std::fs::remove_file(path);
-                let l = UnixListener::bind(path)?;
-                l.set_nonblocking(true)?;
-                Ok(Listener::Unix(l, path.clone()))
-            }
-        }
-    }
-
-    fn local_endpoint(&self) -> Endpoint {
-        match self {
-            Listener::Tcp(l) => Endpoint::Tcp(
-                l.local_addr()
-                    .map_or_else(|_| "0.0.0.0:0".to_string(), |a| a.to_string()),
-            ),
-            Listener::Unix(_, path) => Endpoint::Unix(path.clone()),
-        }
-    }
-
-    fn accept(&self) -> io::Result<Conn> {
-        match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
-            Listener::Unix(l, _) => l.accept().map(|(s, _)| Conn::Unix(s)),
-        }
-    }
-}
-
 struct Inner {
     router: Router,
     exporter: Exporter,
@@ -154,7 +75,6 @@ struct Inner {
     export_cache: BTreeMap<u32, Vec<SessionExport>>,
     /// Session → report bytes, cached by the first successful drain.
     drained: Option<BTreeMap<u64, Vec<u8>>>,
-    conn_seq: u64,
 }
 
 /// The cached (or freshly produced) export for a dead node.
@@ -170,7 +90,6 @@ fn exports_for(st: &mut Inner, node: u32) -> Vec<SessionExport> {
 
 struct Shared {
     state: Mutex<Inner>,
-    stop: AtomicBool,
     /// False while a standby waits for its takeover: client-facing
     /// commands answer [`error_code::STANDBY`] until it flips.
     active: AtomicBool,
@@ -193,8 +112,7 @@ fn promote_shared(shared: &Shared) -> Result<TakeoverRecord, RouterError> {
 /// heartbeat thread.
 pub struct RouterServer {
     shared: Arc<Shared>,
-    endpoint: Endpoint,
-    accept: Option<JoinHandle<()>>,
+    server: Server,
     heartbeat: Option<JoinHandle<()>>,
 }
 
@@ -245,35 +163,30 @@ impl RouterServer {
         cfg: RouterServerConfig,
         standby_peer: Option<Endpoint>,
     ) -> io::Result<Self> {
-        let listener = Listener::bind(endpoint)?;
-        let bound = listener.local_endpoint();
         let shared = Arc::new(Shared {
             state: Mutex::new(Inner {
                 router,
                 exporter,
                 export_cache: BTreeMap::new(),
                 drained: None,
-                conn_seq: 0,
             }),
-            stop: AtomicBool::new(false),
             active: AtomicBool::new(standby_peer.is_none()),
             cfg,
         });
-        let accept_shared = Arc::clone(&shared);
-        let accept = std::thread::spawn(move || accept_loop(&listener, &accept_shared));
+        let server = Server::start(endpoint, cfg.max_window_events, Arc::clone(&shared))?;
         let heartbeat = if cfg.heartbeat.is_zero() {
             None
         } else {
             let hb_shared = Arc::clone(&shared);
+            let stop = server.stop_flag();
             Some(std::thread::spawn(move || match standby_peer {
-                Some(peer) => standby_loop(&hb_shared, &peer),
-                None => heartbeat_loop(&hb_shared),
+                Some(peer) => standby_loop(&hb_shared, &stop, &peer),
+                None => heartbeat_loop(&hb_shared, &stop),
             }))
         };
         Ok(Self {
             shared,
-            endpoint: bound,
-            accept: Some(accept),
+            server,
             heartbeat,
         })
     }
@@ -302,17 +215,14 @@ impl RouterServer {
     /// kernel-assigned port.
     #[must_use]
     pub fn endpoint(&self) -> &Endpoint {
-        &self.endpoint
+        self.server.endpoint()
     }
 
     /// The bound TCP socket address (`None` on a Unix listener); tests
     /// bind port 0 and read the kernel's choice back from here.
     #[must_use]
     pub fn local_addr(&self) -> Option<std::net::SocketAddr> {
-        match &self.endpoint {
-            Endpoint::Tcp(addr) => addr.parse().ok(),
-            Endpoint::Unix(_) => None,
-        }
+        self.server.local_addr()
     }
 
     /// Runs `f` on the routing core under the server lock — how tests
@@ -339,10 +249,7 @@ impl RouterServer {
     }
 
     fn stop_and_join(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.server.stop();
         if let Some(h) = self.heartbeat.take() {
             let _ = h.join();
         }
@@ -355,47 +262,19 @@ impl Drop for RouterServer {
     }
 }
 
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
-const READ_POLL: Duration = Duration::from_millis(20);
-
-fn accept_loop(listener: &Listener, shared: &Arc<Shared>) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok(conn) => {
-                let conn_id = {
-                    let mut st = shared.state.lock().expect("router state");
-                    st.conn_seq += 1;
-                    st.conn_seq
-                };
-                latch_obs::counter_inc("router.wire.conns");
-                latch_obs::emit("router", TraceEvent::ConnOpen { conn: conn_id });
-                let shared = Arc::clone(shared);
-                std::thread::spawn(move || handle_conn(conn, conn_id, &shared));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => break,
-        }
-    }
-    if let Listener::Unix(_, path) = listener {
-        let _ = std::fs::remove_file(path);
-    }
-}
-
 /// Bound on one standby-to-primary heartbeat dial.
 const PEER_CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// The standby's half-life: heartbeat the primary until the miss
 /// budget runs out, then take over (retrying — the nodes may be
 /// mid-restart themselves) and become the cluster's heartbeat.
-fn standby_loop(shared: &Arc<Shared>, peer: &Endpoint) {
+fn standby_loop(shared: &Arc<Shared>, stop: &AtomicBool, peer: &Endpoint) {
     let mut misses = 0u32;
     let mut token = 0u64;
     let mut conn: Option<Client> = None;
-    while !shared.stop.load(Ordering::SeqCst) {
+    while !stop.load(Ordering::SeqCst) {
         std::thread::sleep(shared.cfg.heartbeat);
-        if shared.stop.load(Ordering::SeqCst) {
+        if stop.load(Ordering::SeqCst) {
             return;
         }
         token += 1;
@@ -415,10 +294,10 @@ fn standby_loop(shared: &Arc<Shared>, peer: &Endpoint) {
         if misses <= shared.cfg.standby_miss_budget {
             continue;
         }
-        while !shared.stop.load(Ordering::SeqCst) {
+        while !stop.load(Ordering::SeqCst) {
             match promote_shared(shared) {
                 Ok(_) => {
-                    heartbeat_loop(shared);
+                    heartbeat_loop(shared, stop);
                     return;
                 }
                 Err(_) => {
@@ -431,8 +310,8 @@ fn standby_loop(shared: &Arc<Shared>, peer: &Endpoint) {
     }
 }
 
-fn heartbeat_loop(shared: &Arc<Shared>) {
-    while !shared.stop.load(Ordering::SeqCst) {
+fn heartbeat_loop(shared: &Arc<Shared>, stop: &AtomicBool) {
+    while !stop.load(Ordering::SeqCst) {
         std::thread::sleep(shared.cfg.heartbeat);
         let mut st = shared.state.lock().expect("router state");
         for node in st.router.tick() {
@@ -453,156 +332,34 @@ fn heartbeat_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Same idle-polling read discipline as `latch-serve`'s front door: at
-/// a frame boundary a timeout also checks the stop flag and clean EOF
-/// closes quietly; mid-frame, timeouts keep waiting and EOF is a typed
-/// truncation.
-fn read_full_poll(
-    conn: &mut Conn,
-    buf: &mut [u8],
-    idle_ok: bool,
-    stop: &AtomicBool,
-) -> Result<bool, ProtoError> {
-    let mut got = 0usize;
-    while got < buf.len() {
-        match conn.read(&mut buf[got..]) {
-            Ok(0) => {
-                return if got == 0 && idle_ok {
-                    Ok(false)
-                } else {
-                    Err(ProtoError::Truncated)
-                };
-            }
-            Ok(n) => got += n,
-            Err(e)
-                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
-            {
-                if got == 0 && idle_ok && stop.load(Ordering::SeqCst) {
-                    return Ok(false);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ProtoError::Io(e.kind())),
-        }
-    }
-    Ok(true)
-}
-
-fn read_frame_msg(conn: &mut Conn, stop: &AtomicBool) -> Result<Option<Msg>, ProtoError> {
-    let mut header = [0u8; latch_proto::FRAME_HEADER_LEN];
-    if !read_full_poll(conn, &mut header, true, stop)? {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
-    if len > latch_proto::MAX_FRAME_PAYLOAD {
-        return Err(ProtoError::OversizedFrame { len: len as u64 });
-    }
-    let mut frame = vec![0u8; latch_proto::FRAME_HEADER_LEN + len];
-    frame[..latch_proto::FRAME_HEADER_LEN].copy_from_slice(&header);
-    read_full_poll(conn, &mut frame[latch_proto::FRAME_HEADER_LEN..], false, stop)?;
-    let (payload, _consumed) = latch_proto::frame_payload(&frame)?;
-    Msg::decode_payload(payload).map(Some)
-}
-
 struct ConnState {
     admitted: u64,
-    frames: u64,
 }
 
-fn handle_conn(mut conn: Conn, conn_id: u64, shared: &Shared) {
-    let _ = conn.set_read_timeout(READ_POLL);
-    let mut cs = match handshake(&mut conn, conn_id, shared) {
-        Some(cs) => cs,
-        None => {
-            latch_obs::emit(
-                "router",
-                TraceEvent::ConnClose {
-                    conn: conn_id,
-                    frames: 0,
-                },
-            );
-            return;
-        }
-    };
-    loop {
-        // Frame-boundary stop check — same rationale as the node front
-        // door: back-to-back frames must not outlive a shutdown.
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let msg = match read_frame_msg(&mut conn, &shared.stop) {
-            Ok(Some(msg)) => msg,
-            Ok(None) => break,
-            Err(err) => {
-                fail_closed(&mut conn, conn_id, err.reason());
-                break;
-            }
-        };
-        cs.frames += 1;
-        let replies = process_msg(msg, conn_id, &mut cs, shared);
-        let mut dead = false;
-        for reply in &replies {
-            if write_msg(&mut conn, reply).is_err() {
-                dead = true;
-                break;
-            }
-        }
-        if dead {
-            break;
-        }
+impl Handler for Shared {
+    type Conn = ConnState;
+
+    fn opened(&self, conn: u64) {
+        latch_obs::counter_inc("router.wire.conns");
+        latch_obs::emit("router", TraceEvent::ConnOpen { conn });
     }
-    latch_obs::emit(
-        "router",
-        TraceEvent::ConnClose {
-            conn: conn_id,
-            frames: cs.frames,
-        },
-    );
-}
 
-fn handshake(conn: &mut Conn, conn_id: u64, shared: &Shared) -> Option<ConnState> {
-    match read_frame_msg(conn, &shared.stop) {
-        Ok(Some(Msg::Hello { window_events, .. })) => {
-            let window = window_events.clamp(1, shared.cfg.max_window_events);
-            let ack = Msg::HelloAck {
-                version: latch_proto::PROTO_VERSION,
-                window_events: window,
-            };
-            if write_msg(conn, &ack).is_err() {
-                return None;
-            }
-            Some(ConnState {
-                admitted: 0,
-                frames: 1,
-            })
-        }
-        Ok(Some(_)) => {
-            fail_closed(conn, conn_id, "hello_expected");
-            None
-        }
-        Ok(None) => None,
-        Err(err) => {
-            fail_closed(conn, conn_id, err.reason());
-            None
-        }
+    fn hello(&self, _window_events: u32, _want_slo: bool) -> ConnState {
+        ConnState { admitted: 0 }
     }
-}
 
-fn fail_closed(conn: &mut Conn, conn_id: u64, reason: &'static str) {
-    latch_obs::counter_inc("router.wire.rejects");
-    latch_obs::emit(
-        "router",
-        TraceEvent::WireReject {
-            conn: conn_id,
-            reason,
-        },
-    );
-    let _ = write_msg(
-        conn,
-        &Msg::Error {
-            code: error_code::MALFORMED,
-        },
-    );
+    fn handle(&self, conn: u64, state: &mut ConnState, msg: Msg) -> Vec<Msg> {
+        process_msg(msg, conn, state, self)
+    }
+
+    fn rejected(&self, conn: u64, reason: &'static str) {
+        latch_obs::counter_inc("router.wire.rejects");
+        latch_obs::emit("router", TraceEvent::WireReject { conn, reason });
+    }
+
+    fn closed(&self, conn: u64, frames: u64) {
+        latch_obs::emit("router", TraceEvent::ConnClose { conn, frames });
+    }
 }
 
 /// One forward with at-most-one failover retry: a `NodeDown` answer

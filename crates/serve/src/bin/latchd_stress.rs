@@ -23,7 +23,8 @@
 //! ```
 
 use latch_faults::{FaultInjector, FaultPlan};
-use latch_proto::{read_msg, write_msg, Endpoint, Msg, WireRejected, WireSlo};
+use latch_proto::transport::{read_msg, write_msg, Stream};
+use latch_proto::{Endpoint, Msg, WireRejected, WireSlo};
 use latch_serve::{
     DurableConfig, DurableService, MemStorage, ServeConfig, Slo, WireConfig, WireServer,
 };
@@ -31,7 +32,6 @@ use latch_sim::event::{Event, EventSource};
 use latch_systems::session::SessionPipeline;
 use latch_workloads::all_profiles;
 use std::collections::BTreeMap;
-use std::net::TcpStream;
 
 struct Args {
     seed: u64,
@@ -109,11 +109,8 @@ fn start_server(seed: u64) -> WireServer<MemStorage> {
     WireServer::start(&endpoint, svc, WireConfig::default()).expect("bind loopback")
 }
 
-fn connect(endpoint: &Endpoint, want_slo: bool) -> TcpStream {
-    let Endpoint::Tcp(addr) = endpoint else {
-        panic!("stress runs over TCP");
-    };
-    let mut conn = TcpStream::connect(addr.as_str()).expect("connect loopback");
+fn connect(endpoint: &Endpoint, want_slo: bool) -> Stream {
+    let mut conn = Stream::connect(endpoint, None).expect("connect loopback");
     write_msg(
         &mut conn,
         &Msg::Hello {
@@ -123,7 +120,7 @@ fn connect(endpoint: &Endpoint, want_slo: bool) -> TcpStream {
         },
     )
     .expect("hello");
-    match read_msg(&mut conn).expect("hello ack").expect("hello ack") {
+    match read_msg(&mut conn, None).expect("hello ack").expect("hello ack") {
         Msg::HelloAck { version, .. } => assert_eq!(version, latch_proto::PROTO_VERSION),
         other => panic!("expected HelloAck, got {other:?}"),
     }
@@ -135,7 +132,7 @@ fn connect(endpoint: &Endpoint, want_slo: bool) -> TcpStream {
 /// the shed observations `(session, priority, pressure)`.
 #[allow(clippy::type_complexity)]
 fn drive_session(
-    conn: &mut TcpStream,
+    conn: &mut Stream,
     session: u64,
     events: &[Event],
     inj: &mut FaultInjector,
@@ -167,7 +164,7 @@ fn drive_session(
         .expect("submit");
         // Replies may be preceded by any number of SLO pushes.
         loop {
-            match read_msg(conn).expect("reply").expect("reply") {
+            match read_msg(conn, None).expect("reply").expect("reply") {
                 Msg::SloPush(report) => slo.push(report),
                 Msg::SubmitOk { .. } => {
                     admitted.extend_from_slice(batch);
@@ -202,10 +199,10 @@ fn drive_session(
 }
 
 /// Drains through `conn` and returns every session's report bytes.
-fn drain(conn: &mut TcpStream, slo: &mut Vec<WireSlo>) -> BTreeMap<u64, Vec<u8>> {
+fn drain(conn: &mut Stream, slo: &mut Vec<WireSlo>) -> BTreeMap<u64, Vec<u8>> {
     write_msg(conn, &Msg::Drain).expect("drain");
     loop {
-        match read_msg(conn).expect("drained").expect("drained") {
+        match read_msg(conn, None).expect("drained").expect("drained") {
             Msg::SloPush(report) => slo.push(report),
             Msg::Drained { reports } => return reports.into_iter().collect(),
             other => panic!("expected Drained, got {other:?}"),

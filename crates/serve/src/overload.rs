@@ -3,7 +3,7 @@
 //! Everything here is measured in **simulated cost-model cycles**, the
 //! repo's performance currency, so every number — latency percentiles,
 //! breach decisions, shed choices — is a pure function of scheduler
-//! state and byte-identical across reruns of the deterministic mode. No
+//! state and byte-identical across reruns of the scheduler. No
 //! wall clock enters any decision.
 //!
 //! The policy surface (paper framing: LATCH checking should cost

@@ -1,13 +1,14 @@
 //! The network front door: a framed-protocol server over a
 //! [`DurableService`].
 //!
-//! [`WireServer`] owns one listener (TCP or Unix socket), an accept
-//! loop on its own thread, and one handler thread per connection. All
-//! connections feed a single shared [`DurableService`] behind a mutex
-//! — the service itself stays in deterministic scheduling mode, so a
-//! single-connection run is fully deterministic and multi-connection
-//! runs still yield per-session reports byte-identical to solo runs of
-//! each admitted stream.
+//! [`WireServer`] runs the shared [`latch_proto::transport`] server (one
+//! listener, an accept loop on its own thread, one handler thread per
+//! connection) and keeps only the message handlers. All connections
+//! feed a single shared [`DurableService`] behind a mutex — the service
+//! itself is the deterministic scheduler, so a single-connection run is
+//! fully deterministic and multi-connection runs still yield
+//! per-session reports byte-identical to solo runs of each admitted
+//! stream.
 //!
 //! Protocol (see [`latch_proto`] for the frame layout):
 //!
@@ -26,11 +27,15 @@
 //! * **Telemetry** — connections that set `want_slo` receive
 //!   [`Msg::SloPush`] frames for every SLO cut, streamed after each
 //!   reply via a per-connection cursor.
+//! * **Heartbeats** — `Ping` and `NodeHello` are answered before the
+//!   service lock is taken, so a batch parked in a slow fsync cannot
+//!   make a live node miss its router's heartbeats.
 //! * **Drain** — `Drain` takes the service, runs
-//!   [`DurableService::finish_timeout`], stores every session's final
-//!   report, and replies `Drained`. The reply is idempotent; later
-//!   `Submit`s are rejected with `ShuttingDown`, and `Report` serves
-//!   individual session reports.
+//!   [`DurableService::finish`], stores every session's final report,
+//!   and replies `Drained`. The reply is idempotent; later `Submit`s
+//!   are rejected with `ShuttingDown`, and `Report` serves individual
+//!   session reports. [`WireServer::wait_drained`] returns once a
+//!   `Drained` reply has been written (or its write failed).
 //! * **Hostile bytes** — a connection that sends garbage gets a typed
 //!   `WireReject` trace event, a best-effort `Error` frame, and its
 //!   socket closed. The accept loop and every other connection are
@@ -40,17 +45,13 @@
 use crate::durable::DurableService;
 use crate::overload::Priority;
 use crate::storage::Storage;
-use crate::{DrainOutcome, Rejected, ServiceOutcome};
+use crate::{Rejected, ServiceOutcome};
 use latch_obs::TraceEvent;
-use latch_proto::{error_code, write_msg, Endpoint, Msg, ProtoError, WireRejected, WireSlo};
+use latch_proto::transport::{Handler, Server};
+use latch_proto::{error_code, Endpoint, Msg, WireRejected, WireSlo};
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::io;
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Front-door tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -58,109 +59,21 @@ pub struct WireConfig {
     /// Cap on the per-connection in-flight window, in events. A
     /// client's `Hello` request is clamped into `[1, max_window]`.
     pub max_window_events: u32,
-    /// Deadline passed to [`DurableService::finish_timeout`] when a
-    /// client drains the service.
-    pub drain_timeout: Duration,
 }
 
 impl Default for WireConfig {
     fn default() -> Self {
         Self {
             max_window_events: 1 << 14,
-            drain_timeout: Duration::from_secs(30),
         }
     }
 }
 
-/// One accepted connection's stream, either transport.
-enum Conn {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            Conn::Unix(s) => s.flush(),
-        }
-    }
-}
-
-impl Conn {
-    fn set_read_timeout(&self, d: Duration) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_read_timeout(Some(d)),
-            Conn::Unix(s) => s.set_read_timeout(Some(d)),
-        }
-    }
-}
-
-enum Listener {
-    Tcp(TcpListener),
-    Unix(UnixListener, std::path::PathBuf),
-}
-
-impl Listener {
-    fn bind(endpoint: &Endpoint) -> io::Result<Self> {
-        match endpoint {
-            Endpoint::Tcp(addr) => {
-                let l = TcpListener::bind(addr.as_str())?;
-                l.set_nonblocking(true)?;
-                Ok(Listener::Tcp(l))
-            }
-            Endpoint::Unix(path) => {
-                // A stale socket file from a dead process blocks bind;
-                // remove it first (connect() to a live one would
-                // succeed, but latchd owns its socket path).
-                let _ = std::fs::remove_file(path);
-                let l = UnixListener::bind(path)?;
-                l.set_nonblocking(true)?;
-                Ok(Listener::Unix(l, path.clone()))
-            }
-        }
-    }
-
-    fn local_endpoint(&self) -> Endpoint {
-        match self {
-            Listener::Tcp(l) => Endpoint::Tcp(
-                l.local_addr()
-                    .map_or_else(|_| "0.0.0.0:0".to_string(), |a| a.to_string()),
-            ),
-            Listener::Unix(_, path) => Endpoint::Unix(path.clone()),
-        }
-    }
-
-    fn accept(&self) -> io::Result<Conn> {
-        match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
-            Listener::Unix(l, _) => l.accept().map(|(s, _)| Conn::Unix(s)),
-        }
-    }
-}
-
-/// What a drain left behind: per-session `(applied, report bytes)`,
-/// the final SLO report stream, and whether the deadline expired.
+/// What a drain left behind: per-session `(applied, report bytes)` and
+/// the final SLO report stream.
 struct Drained {
     reports: BTreeMap<u64, (u64, Vec<u8>)>,
     slo: Vec<WireSlo>,
-    timed_out: bool,
 }
 
 /// Shared server state: the service until drain, the drained reports
@@ -172,7 +85,6 @@ struct State<S: Storage> {
     storage: Option<S>,
     /// Captured at start so post-drain migrations can thaw exports.
     scrub_interval: u64,
-    conn_seq: u64,
     /// Backup journals for sessions this node replicates but does not
     /// own, fed by `ReplFrame` and served back by `ReplFetch`.
     replicas: latch_replica::ReplicaStore,
@@ -185,8 +97,9 @@ struct State<S: Storage> {
 
 struct Shared<S: Storage> {
     state: Mutex<State<S>>,
-    stop: AtomicBool,
-    cfg: WireConfig,
+    /// Set once a `Drained` reply has been written or failed to write.
+    drain_replied: Mutex<bool>,
+    drain_cv: Condvar,
 }
 
 /// A running network front door. Dropping the server (or calling
@@ -195,8 +108,7 @@ struct Shared<S: Storage> {
 /// drain through a client first.
 pub struct WireServer<S: Storage + Send + 'static> {
     shared: Arc<Shared<S>>,
-    endpoint: Endpoint,
-    accept: Option<JoinHandle<()>>,
+    server: Server,
 }
 
 impl<S: Storage + Send + 'static> WireServer<S> {
@@ -211,8 +123,6 @@ impl<S: Storage + Send + 'static> WireServer<S> {
         svc: DurableService<S>,
         cfg: WireConfig,
     ) -> io::Result<Self> {
-        let listener = Listener::bind(endpoint)?;
-        let bound = listener.local_endpoint();
         let scrub_interval = svc.scrub_interval();
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
@@ -220,27 +130,21 @@ impl<S: Storage + Send + 'static> WireServer<S> {
                 drained: None,
                 storage: None,
                 scrub_interval,
-                conn_seq: 0,
                 replicas: latch_replica::ReplicaStore::new(),
                 max_epoch: 0,
             }),
-            stop: AtomicBool::new(false),
-            cfg,
+            drain_replied: Mutex::new(false),
+            drain_cv: Condvar::new(),
         });
-        let accept_shared = Arc::clone(&shared);
-        let accept = std::thread::spawn(move || accept_loop(&listener, &accept_shared));
-        Ok(Self {
-            shared,
-            endpoint: bound,
-            accept: Some(accept),
-        })
+        let server = Server::start(endpoint, cfg.max_window_events, Arc::clone(&shared))?;
+        Ok(Self { shared, server })
     }
 
     /// The endpoint actually bound — for `tcp:HOST:0` this carries the
     /// kernel-assigned port.
     #[must_use]
     pub fn endpoint(&self) -> &Endpoint {
-        &self.endpoint
+        self.server.endpoint()
     }
 
     /// The bound TCP socket address (`None` on a Unix listener).
@@ -249,26 +153,23 @@ impl<S: Storage + Send + 'static> WireServer<S> {
     /// never collide on a fixed port.
     #[must_use]
     pub fn local_addr(&self) -> Option<std::net::SocketAddr> {
-        match &self.endpoint {
-            Endpoint::Tcp(addr) => addr.parse().ok(),
-            Endpoint::Unix(_) => None,
-        }
+        self.server.local_addr()
     }
 
-    /// Whether a client has drained the service.
-    #[must_use]
-    pub fn drained(&self) -> bool {
-        self.shared.state.lock().expect("server state").drained.is_some()
+    /// Blocks until a client has drained the service and the `Drained`
+    /// reply has been written to it (or the write failed) — the point
+    /// after which a daemon may exit without losing the reply.
+    pub fn wait_drained(&self) {
+        let mut replied = self.shared.drain_replied.lock().expect("drain flag");
+        while !*replied {
+            replied = self.shared.drain_cv.wait(replied).expect("drain flag");
+        }
     }
 
     /// Stops the accept loop, joins it, and returns the storage backend
-    /// if a drain completed (`None` when never drained or timed out
-    /// before handing storage back).
+    /// if a drain completed (`None` when never drained).
     pub fn shutdown(mut self) -> Option<S> {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.server.stop();
         self.shared.state.lock().expect("server state").storage.take()
     }
 
@@ -278,111 +179,9 @@ impl<S: Storage + Send + 'static> WireServer<S> {
     /// Callers crash the returned service to get the surviving storage
     /// — the disk a router exports failed-over sessions from.
     pub fn kill(mut self) -> Option<DurableService<S>> {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.server.stop();
         self.shared.state.lock().expect("server state").svc.take()
     }
-}
-
-impl<S: Storage + Send + 'static> Drop for WireServer<S> {
-    fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
-const READ_POLL: Duration = Duration::from_millis(20);
-
-fn accept_loop<S: Storage + Send + 'static>(listener: &Listener, shared: &Arc<Shared<S>>) {
-    // Handler threads detach: each exits on its own when the peer hangs
-    // up or the stop flag falls. The loop only tracks the listener.
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok(conn) => {
-                let conn_id = {
-                    let mut st = shared.state.lock().expect("server state");
-                    st.conn_seq += 1;
-                    st.conn_seq
-                };
-                latch_obs::counter_inc("serve.wire.conns");
-                latch_obs::emit("serve", TraceEvent::ConnOpen { conn: conn_id });
-                let shared = Arc::clone(shared);
-                std::thread::spawn(move || handle_conn(conn, conn_id, &shared));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => break,
-        }
-    }
-    if let Listener::Unix(_, path) = listener {
-        let _ = std::fs::remove_file(path);
-    }
-}
-
-/// Fills `buf`, retrying read timeouts. At offset zero (a frame
-/// boundary, `idle_ok`) a timeout also polls the stop flag and a clean
-/// EOF is allowed; once any byte of a frame has been consumed, a
-/// timeout keeps waiting (a slow-but-live peer must not lose its
-/// partial frame) and EOF is a typed truncation.
-fn read_full_poll<S: Storage>(
-    conn: &mut Conn,
-    buf: &mut [u8],
-    idle_ok: bool,
-    shared: &Shared<S>,
-) -> Result<bool, ProtoError> {
-    let mut got = 0usize;
-    while got < buf.len() {
-        match conn.read(&mut buf[got..]) {
-            Ok(0) => {
-                return if got == 0 && idle_ok {
-                    Ok(false)
-                } else {
-                    Err(ProtoError::Truncated)
-                };
-            }
-            Ok(n) => got += n,
-            Err(e)
-                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
-            {
-                if got == 0 && idle_ok && shared.stop.load(Ordering::SeqCst) {
-                    return Ok(false);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ProtoError::Io(e.kind())),
-        }
-    }
-    Ok(true)
-}
-
-/// Reads one frame, polling the stop flag while idle at a frame
-/// boundary. `Ok(None)` means the connection should close quietly
-/// (clean EOF, or server stopping between frames). Uses the same
-/// bound-the-length-before-allocating discipline as
-/// [`latch_proto::read_msg`].
-fn read_frame_msg<S: Storage>(
-    conn: &mut Conn,
-    shared: &Shared<S>,
-) -> Result<Option<Msg>, ProtoError> {
-    let mut header = [0u8; latch_proto::FRAME_HEADER_LEN];
-    if !read_full_poll(conn, &mut header, true, shared)? {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
-    if len > latch_proto::MAX_FRAME_PAYLOAD {
-        return Err(ProtoError::OversizedFrame { len: len as u64 });
-    }
-    let mut frame = vec![0u8; latch_proto::FRAME_HEADER_LEN + len];
-    frame[..latch_proto::FRAME_HEADER_LEN].copy_from_slice(&header);
-    read_full_poll(conn, &mut frame[latch_proto::FRAME_HEADER_LEN..], false, shared)?;
-    let (payload, _consumed) = latch_proto::frame_payload(&frame)?;
-    Msg::decode_payload(payload).map(Some)
 }
 
 fn wire_rejected(r: &Rejected) -> (WireRejected, &'static str) {
@@ -446,136 +245,81 @@ fn drained_from(outcome: &ServiceOutcome) -> Drained {
             .map(|(&s, r)| (s, (r.events, r.encode())))
             .collect(),
         slo: outcome.slo_reports.iter().map(wire_slo).collect(),
-        timed_out: false,
     }
 }
 
-/// One submit under the state lock: admission, window accounting, and
-/// the reply (plus any fresh SLO cuts for subscribed connections).
+/// Per-connection state: the granted window, admission accounting,
+/// the SLO push cursor, and staged migrations.
 struct ConnState {
     window: u32,
     want_slo: bool,
     outstanding: u64,
     admitted: u64,
     slo_cursor: usize,
-    frames: u64,
     /// Session → (LTSE blob, WAL suffix) staged by `MigrateChunk`
     /// frames, consumed by the committing `MigrateSession`.
-    migrations: std::collections::BTreeMap<u64, (Vec<u8>, Vec<u8>)>,
+    migrations: BTreeMap<u64, (Vec<u8>, Vec<u8>)>,
     /// The router epoch this connection last claimed via `Adopt`.
     /// `None` for direct client connections, which stay unfenced.
     epoch: Option<u64>,
+    /// The replies being written include a `Drained`.
+    drain_reply: bool,
 }
 
-fn handle_conn<S: Storage + Send + 'static>(mut conn: Conn, conn_id: u64, shared: &Shared<S>) {
-    let _ = conn.set_read_timeout(READ_POLL);
-    let mut cs = match handshake(&mut conn, conn_id, shared) {
-        Some(cs) => cs,
-        None => {
-            latch_obs::emit(
-                "serve",
-                TraceEvent::ConnClose {
-                    conn: conn_id,
-                    frames: 0,
-                },
-            );
-            return;
-        }
-    };
-    loop {
-        // Check the stop flag at every frame boundary, not just on
-        // idle timeouts: a killed server must close even connections
-        // whose frames keep arriving back-to-back, or a router's
-        // heartbeat would keep getting answered by a dead node.
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let msg = match read_frame_msg(&mut conn, shared) {
-            Ok(Some(msg)) => msg,
-            Ok(None) => break,
-            Err(err) => {
-                fail_closed(&mut conn, conn_id, err.reason());
-                break;
-            }
-        };
-        cs.frames += 1;
-        let replies = process_msg(msg, conn_id, &mut cs, shared);
-        let mut dead = false;
-        for reply in &replies {
-            if write_msg(&mut conn, reply).is_err() {
-                dead = true;
-                break;
-            }
-        }
-        if dead {
-            break;
-        }
-    }
-    latch_obs::emit(
-        "serve",
-        TraceEvent::ConnClose {
-            conn: conn_id,
-            frames: cs.frames,
-        },
-    );
-}
-
-/// First frame must be a well-formed `Hello`; everything else fails
-/// the connection closed (with a best-effort typed `Error` frame).
-fn handshake<S: Storage>(conn: &mut Conn, conn_id: u64, shared: &Shared<S>) -> Option<ConnState> {
-    match read_frame_msg(conn, shared) {
-        Ok(Some(Msg::Hello {
-            window_events,
-            want_slo,
-            ..
-        })) => {
-            let window = window_events.clamp(1, shared.cfg.max_window_events);
-            let ack = Msg::HelloAck {
-                version: latch_proto::PROTO_VERSION,
-                window_events: window,
-            };
-            if write_msg(conn, &ack).is_err() {
-                return None;
-            }
-            Some(ConnState {
-                window,
-                want_slo,
-                outstanding: 0,
-                admitted: 0,
-                slo_cursor: 0,
-                frames: 1,
-                migrations: std::collections::BTreeMap::new(),
-                epoch: None,
-            })
-        }
-        Ok(Some(_)) => {
-            fail_closed(conn, conn_id, "hello_expected");
-            None
-        }
-        Ok(None) => None,
-        Err(err) => {
-            fail_closed(conn, conn_id, err.reason());
-            None
-        }
-    }
-}
-
-fn fail_closed(conn: &mut Conn, conn_id: u64, reason: &'static str) {
+fn wire_reject(conn: u64, reason: &'static str) {
     latch_obs::counter_inc("serve.wire.rejects");
-    latch_obs::emit(
-        "serve",
-        TraceEvent::WireReject {
-            conn: conn_id,
-            reason,
-        },
-    );
-    // Best effort: the peer may already be gone.
-    let _ = write_msg(
-        conn,
-        &Msg::Error {
-            code: error_code::MALFORMED,
-        },
-    );
+    latch_obs::emit("serve", TraceEvent::WireReject { conn, reason });
+}
+
+impl<S: Storage + Send + 'static> Handler for Shared<S> {
+    type Conn = ConnState;
+
+    fn opened(&self, conn: u64) {
+        latch_obs::counter_inc("serve.wire.conns");
+        latch_obs::emit("serve", TraceEvent::ConnOpen { conn });
+    }
+
+    fn hello(&self, window: u32, want_slo: bool) -> ConnState {
+        ConnState {
+            window,
+            want_slo,
+            outstanding: 0,
+            admitted: 0,
+            slo_cursor: 0,
+            migrations: BTreeMap::new(),
+            epoch: None,
+            drain_reply: false,
+        }
+    }
+
+    fn handle(&self, conn: u64, cs: &mut ConnState, msg: Msg) -> Vec<Msg> {
+        // Heartbeats touch no server state, so they are answered
+        // without the lock: a batch parked in a slow fsync must not
+        // make a live node miss its router's heartbeats.
+        match msg {
+            Msg::Ping { token } => vec![Msg::Pong { token }],
+            Msg::NodeHello { node: _, token } => {
+                latch_obs::counter_inc("serve.wire.node_hellos");
+                vec![Msg::Pong { token }]
+            }
+            msg => process_msg(msg, conn, cs, self),
+        }
+    }
+
+    fn replied(&self, cs: &mut ConnState, _written: bool) {
+        if std::mem::take(&mut cs.drain_reply) {
+            *self.drain_replied.lock().expect("drain flag") = true;
+            self.drain_cv.notify_all();
+        }
+    }
+
+    fn rejected(&self, conn: u64, reason: &'static str) {
+        wire_reject(conn, reason);
+    }
+
+    fn closed(&self, conn: u64, frames: u64) {
+        latch_obs::emit("serve", TraceEvent::ConnClose { conn, frames });
+    }
 }
 
 fn process_msg<S: Storage>(
@@ -651,14 +395,7 @@ fn process_msg<S: Storage>(
                             cs.outstanding = 0;
                         }
                         let (wire, reason) = wire_rejected(&rej);
-                        latch_obs::counter_inc("serve.wire.rejects");
-                        latch_obs::emit(
-                            "serve",
-                            TraceEvent::WireReject {
-                                conn: conn_id,
-                                reason,
-                            },
-                        );
+                        wire_reject(conn_id, reason);
                         replies.push(Msg::SubmitRejected {
                             session,
                             rejected: wire,
@@ -675,28 +412,21 @@ fn process_msg<S: Storage>(
         }
         Msg::Drain => {
             if let Some(svc) = st.svc.take() {
-                let (outcome, storage) = svc.finish_timeout(shared.cfg.drain_timeout);
+                let (outcome, storage) = svc.finish();
                 st.storage = Some(storage);
-                st.drained = Some(match outcome {
-                    DrainOutcome::Completed(out) => drained_from(&out),
-                    DrainOutcome::TimedOut { .. } => Drained {
-                        reports: BTreeMap::new(),
-                        slo: Vec::new(),
-                        timed_out: true,
-                    },
-                });
+                st.drained = Some(drained_from(&outcome));
             }
             match st.drained.as_ref() {
-                Some(d) if d.timed_out => replies.push(Msg::Error {
-                    code: error_code::DRAIN_TIMEOUT,
-                }),
-                Some(d) => replies.push(Msg::Drained {
-                    reports: d
-                        .reports
-                        .iter()
-                        .map(|(&s, (_, bytes))| (s, bytes.clone()))
-                        .collect(),
-                }),
+                Some(d) => {
+                    cs.drain_reply = true;
+                    replies.push(Msg::Drained {
+                        reports: d
+                            .reports
+                            .iter()
+                            .map(|(&s, (_, bytes))| (s, bytes.clone()))
+                            .collect(),
+                    });
+                }
                 // Only reachable on a killed server: the service was
                 // taken by `kill()` without leaving a drained state.
                 None => replies.push(Msg::Error {
@@ -768,13 +498,6 @@ fn process_msg<S: Storage>(
                 .collect();
             replies.push(Msg::ReplicaSurvey { entries });
         }
-        // Cluster control: heartbeats echo their token; a NodeHello
-        // marks the connection as a router's and answers like a probe.
-        Msg::Ping { token } => replies.push(Msg::Pong { token }),
-        Msg::NodeHello { node: _, token } => {
-            latch_obs::counter_inc("serve.wire.node_hellos");
-            replies.push(Msg::Pong { token });
-        }
         Msg::MigrateChunk {
             session,
             kind,
@@ -804,14 +527,7 @@ fn process_msg<S: Storage>(
                 // Past the staging cap: drop the session's buffers so a
                 // runaway sender cannot hold the memory open.
                 cs.migrations.remove(&session);
-                latch_obs::counter_inc("serve.wire.rejects");
-                latch_obs::emit(
-                    "serve",
-                    TraceEvent::WireReject {
-                        conn: conn_id,
-                        reason: "migration_too_large",
-                    },
-                );
+                wire_reject(conn_id, "migration_too_large");
                 replies.push(Msg::Error {
                     code: error_code::PROTOCOL,
                 });
@@ -849,7 +565,7 @@ fn process_msg<S: Storage>(
                 // drained cache — the victim's directory keeps the
                 // durable copy, this node only answers for the bytes.
                 None => match st.drained.as_mut() {
-                    Some(d) if !d.timed_out && !d.reports.contains_key(&session) => {
+                    Some(d) if !d.reports.contains_key(&session) => {
                         crate::durable::thaw_export(session, scrub_interval, &ltse_blob, &wal_suffix)
                         .ok()
                         .map(|pipe| {
@@ -865,14 +581,7 @@ fn process_msg<S: Storage>(
             match imported {
                 Some(applied) => replies.push(Msg::MigrateAck { session, applied }),
                 None => {
-                    latch_obs::counter_inc("serve.wire.rejects");
-                    latch_obs::emit(
-                        "serve",
-                        TraceEvent::WireReject {
-                            conn: conn_id,
-                            reason: "migrate_refused",
-                        },
-                    );
+                    wire_reject(conn_id, "migrate_refused");
                     replies.push(Msg::Error {
                         code: error_code::PROTOCOL,
                     });
@@ -993,20 +702,15 @@ fn process_msg<S: Storage>(
             match reply {
                 Some(msg) => replies.push(msg),
                 None => {
-                    latch_obs::counter_inc("serve.wire.rejects");
-                    latch_obs::emit(
-                        "serve",
-                        TraceEvent::WireReject {
-                            conn: conn_id,
-                            reason: "repl_state_too_large",
-                        },
-                    );
+                    wire_reject(conn_id, "repl_state_too_large");
                     replies.push(Msg::Error {
                         code: error_code::PROTOCOL,
                     });
                 }
             }
         }
+        // Heartbeats are answered in `handle`, before the lock.
+        Msg::Ping { .. } | Msg::NodeHello { .. } => unreachable!("heartbeat reached the lock"),
         // Client-only or duplicate-handshake messages: a protocol
         // violation, answered without killing the connection (the
         // frame itself was well-formed).
@@ -1028,14 +732,7 @@ fn process_msg<S: Storage>(
         | Msg::SessionCursor { .. }
         | Msg::CursorAck { .. }
         | Msg::Error { .. } => {
-            latch_obs::counter_inc("serve.wire.rejects");
-            latch_obs::emit(
-                "serve",
-                TraceEvent::WireReject {
-                    conn: conn_id,
-                    reason: "unexpected_message",
-                },
-            );
+            wire_reject(conn_id, "unexpected_message");
             replies.push(Msg::Error {
                 code: error_code::PROTOCOL,
             });

@@ -55,7 +55,7 @@ use latch_dift::policy::SecurityViolation;
 use latch_faults::{
     FaultInjector, FaultPlan, FaultStats, FlipDirection, FlipTarget, QueueFault,
 };
-use latch_sim::event::{Event, EventSource};
+use latch_sim::event::Event;
 use latch_sim::machine::apply_event_dift;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -935,50 +935,10 @@ pub fn run_resilient(
     driver.finish()
 }
 
-/// Fault-free run with default resilience tuning: the original
-/// two-thread organization.
-#[deprecated(
-    since = "0.2.0",
-    note = "call `run_resilient` with `FaultPlan::benign()` and \
-            `ResilienceConfig::default()`, or use `latch-serve` for \
-            multi-session workloads"
-)]
-pub fn run_threaded(
-    events: Vec<Event>,
-    queue_capacity: usize,
-    filter: bool,
-) -> (MtReport, DiftEngine) {
-    let (outcome, dift) = run_resilient(
-        events,
-        queue_capacity,
-        filter,
-        FaultPlan::benign(),
-        ResilienceConfig::default(),
-    );
-    (outcome.report, dift)
-}
-
-/// Convenience wrapper: drains an [`EventSource`] into a vector first.
-#[deprecated(
-    since = "0.2.0",
-    note = "drain the source yourself and call `run_resilient`"
-)]
-#[allow(deprecated)]
-pub fn run_threaded_source<S: EventSource>(
-    mut src: S,
-    queue_capacity: usize,
-    filter: bool,
-) -> (MtReport, DiftEngine) {
-    let mut events = Vec::new();
-    while let Some(ev) = src.next_event() {
-        events.push(ev);
-    }
-    run_threaded(events, queue_capacity, filter)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use latch_sim::event::EventSource;
     use latch_workloads::BenchmarkProfile;
 
     #[test]
@@ -1045,8 +1005,8 @@ mod tests {
         out
     }
 
-    /// Benign-plan run through the resilient path (the deprecated
-    /// `run_threaded*` wrappers forward here).
+    /// Benign-plan run through the resilient path with default
+    /// resilience tuning.
     fn run_clean(
         profile: &BenchmarkProfile,
         seed: u64,
