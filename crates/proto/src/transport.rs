@@ -9,6 +9,15 @@
 //! hostile bytes. The servers plug in through [`Handler`] and keep only
 //! their message handlers and observability names.
 //!
+//! Two replies belong to the transport itself, the same for every
+//! server:
+//!
+//! * `Ping` is answered `Pong` by the connection loop, before the
+//!   handler runs, so a heartbeat never waits behind a handler's lock.
+//! * Once a `Drained` reply has been written (or its write failed),
+//!   [`Server::wait_drained`] returns — the point after which a daemon
+//!   may exit without losing the reply.
+//!
 //! Reader semantics (the same for clients and servers):
 //!
 //! * a read timeout at a frame boundary polls the stop flag, if any;
@@ -25,7 +34,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -191,12 +200,9 @@ pub trait Handler: Send + Sync + 'static {
     /// The handshake succeeded with the granted `window_events`.
     fn hello(&self, window_events: u32, want_slo: bool) -> Self::Conn;
 
-    /// Answers one frame after the handshake.
+    /// Answers one frame after the handshake (never a `Ping`: the
+    /// transport answers those itself).
     fn handle(&self, conn: u64, state: &mut Self::Conn, msg: Msg) -> Vec<Msg>;
-
-    /// The replies to one frame were all written (`written`), or one of
-    /// the writes failed and the connection is closing.
-    fn replied(&self, _state: &mut Self::Conn, _written: bool) {}
 
     /// The connection is failing closed for `reason` (a
     /// [`ProtoError::reason`] label or `hello_expected`).
@@ -257,12 +263,27 @@ impl Drop for Listener {
     }
 }
 
+/// Raised once a `Drained` reply has been written, or its write failed.
+#[derive(Default)]
+struct DrainSignal {
+    done: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl DrainSignal {
+    fn raise(&self) {
+        *self.done.lock().expect("drain signal") = true;
+        self.cv.notify_all();
+    }
+}
+
 /// A running listener: an accept loop on its own thread and one
 /// detached handler thread per connection. Dropping the server (or
 /// calling [`stop`](Self::stop)) raises the stop flag and joins the
 /// accept loop; each handler closes at its next frame boundary.
 pub struct Server {
     stop: Arc<AtomicBool>,
+    drained: Arc<DrainSignal>,
     endpoint: Endpoint,
     accept: Option<JoinHandle<()>>,
 }
@@ -283,12 +304,20 @@ impl Server {
         let listener = Listener::bind(endpoint)?;
         let bound = listener.local_endpoint();
         let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = Arc::clone(&stop);
+        let drained = Arc::new(DrainSignal::default());
+        let (accept_stop, accept_drained) = (Arc::clone(&stop), Arc::clone(&drained));
         let accept = std::thread::spawn(move || {
-            accept_loop(&listener, &handler, &accept_stop, max_window_events);
+            accept_loop(
+                &listener,
+                &handler,
+                &accept_stop,
+                &accept_drained,
+                max_window_events,
+            );
         });
         Ok(Self {
             stop,
+            drained,
             endpoint: bound,
             accept: Some(accept),
         })
@@ -318,6 +347,16 @@ impl Server {
         Arc::clone(&self.stop)
     }
 
+    /// Blocks until some connection has been sent a `Drained` reply
+    /// (or its write failed) — the point after which a daemon may exit
+    /// without losing the reply.
+    pub fn wait_drained(&self) {
+        let mut done = self.drained.done.lock().expect("drain signal");
+        while !*done {
+            done = self.drained.cv.wait(done).expect("drain signal");
+        }
+    }
+
     /// Raises the stop flag and joins the accept loop. Idempotent.
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
@@ -337,6 +376,7 @@ fn accept_loop<H: Handler>(
     listener: &Listener,
     handler: &Arc<H>,
     stop: &Arc<AtomicBool>,
+    drained: &Arc<DrainSignal>,
     max_window_events: u32,
 ) {
     let mut conn = 0u64;
@@ -345,9 +385,10 @@ fn accept_loop<H: Handler>(
             Ok(stream) => {
                 conn += 1;
                 handler.opened(conn);
-                let (handler, stop) = (Arc::clone(handler), Arc::clone(stop));
+                let (handler, stop, drained) =
+                    (Arc::clone(handler), Arc::clone(stop), Arc::clone(drained));
                 std::thread::spawn(move || {
-                    serve_conn(stream, conn, &*handler, &stop, max_window_events);
+                    serve_conn(stream, conn, &*handler, &stop, &drained, max_window_events);
                 });
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
@@ -361,6 +402,7 @@ fn serve_conn<H: Handler>(
     conn: u64,
     handler: &H,
     stop: &AtomicBool,
+    drained: &DrainSignal,
     max_window_events: u32,
 ) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
@@ -381,9 +423,14 @@ fn serve_conn<H: Handler>(
                 }
             };
             frames += 1;
-            let replies = handler.handle(conn, &mut state, msg);
+            let replies = match msg {
+                Msg::Ping { token } => vec![Msg::Pong { token }],
+                msg => handler.handle(conn, &mut state, msg),
+            };
             let written = replies.iter().all(|r| write_msg(&mut stream, r).is_ok());
-            handler.replied(&mut state, written);
+            if replies.iter().any(|r| matches!(r, Msg::Drained { .. })) {
+                drained.raise();
+            }
             if !written {
                 break;
             }

@@ -207,9 +207,7 @@ fn main() {
         server.endpoint(),
         if args.standby { " (standby)" } else { "" }
     );
-    while !server.drained() {
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    server.wait_drained();
     eprintln!("latch-routerd: cluster drained, shutting down");
     server.shutdown();
 }

@@ -6,7 +6,9 @@
 //! The socket side is the shared [`latch_proto::transport`] server —
 //! the same accept loop, frame reader and handshake as `latch-serve`'s
 //! `WireServer` — with one handler thread per connection, all sharing
-//! the deterministic [`Router`] behind a mutex. A heartbeat thread drives
+//! the deterministic [`Router`] behind a mutex. The transport answers
+//! `Ping` before any handler runs, so a heartbeat never waits behind a
+//! failover or migration holding that mutex. A heartbeat thread drives
 //! [`Router::tick`] on a fixed cadence; when a node exhausts its miss
 //! budget (or a forward fails mid-submit), the [`Exporter`] callback is
 //! asked for the dead node's surviving durable state and
@@ -232,15 +234,12 @@ impl RouterServer {
         f(&mut st.router)
     }
 
-    /// Whether a client has drained the cluster through this router.
-    #[must_use]
-    pub fn drained(&self) -> bool {
-        self.shared
-            .state
-            .lock()
-            .expect("router state")
-            .drained
-            .is_some()
+    /// Blocks until a client has drained the cluster through this
+    /// router and the `Drained` reply has been written to it (or the
+    /// write failed) — the point after which `latch-routerd` may exit
+    /// without losing the reply.
+    pub fn wait_drained(&self) {
+        self.server.wait_drained();
     }
 
     /// Stops the accept loop and heartbeat thread and joins them.
@@ -508,7 +507,7 @@ fn process_msg(msg: Msg, conn_id: u64, cs: &mut ConnState, shared: &Shared) -> V
                 }
             }
         }
-        Msg::Ping { token } => replies.push(Msg::Pong { token }),
+        Msg::Ping { .. } => unreachable!("the transport answers Ping"),
         Msg::NodeHello { node: _, token } => {
             latch_obs::counter_inc("router.wire.node_hellos");
             replies.push(Msg::Pong { token });

@@ -11,17 +11,18 @@
 //!
 //! One execution engine: [`Service::deterministic`] drives virtual
 //! workers with a seeded round-robin cursor — no threads, no wall clock.
-//! Per-session results are byte-identical across runs and identical to
-//! running each session alone through a [`SessionPipeline`] — the
-//! conformance oracle for everything else. Callers [`pump`](Service::pump)
-//! it between submissions; the network front door ([`wire`]) does so
-//! under its connection window.
+//! Each turn of the cursor is one in-place dispatch step that runs a
+//! whole batch to completion, so per-session results are byte-identical
+//! across runs and identical to running each session alone through a
+//! [`SessionPipeline`] — the conformance oracle for everything else.
+//! Callers [`pump`](Service::pump) it between submissions; the network
+//! front door ([`wire`]) does so under its connection window.
 //!
-//! Fault tolerance: a [`FaultPlan`] with worker kills armed makes a
-//! worker die partway through a batch. The service replays the batch
-//! from the session's pre-batch checkpoint on a surviving worker —
-//! no event loss, and final taint state byte-identical to an unfaulted
-//! run.
+//! Fault tolerance: a [`FaultPlan`](latch_faults::FaultPlan) with worker
+//! kills armed makes a worker die partway through a batch. The service
+//! replays the batch from the session's pre-batch checkpoint on a
+//! surviving worker — no event loss, and final taint state
+//! byte-identical to an unfaulted run.
 
 mod sched;
 
@@ -40,17 +41,14 @@ pub use durable::{
 pub use ingress::{FailoverRecord, IngressReport, MultiIngress, INGRESS_PATHS};
 pub use journal::RecoveryError;
 pub use overload::{DegradedSpan, Priority, Slo, SloReport, SloSampler};
+pub use sched::Service;
 pub use storage::{DirStorage, MemStorage, Storage};
 pub use wire::{WireConfig, WireServer};
 
-use latch_faults::FaultPlan;
-use latch_sim::event::Event;
 use latch_systems::session::{SessionPipeline, SessionReport};
-use sched::{process, Sched};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::time::Instant;
 
 /// Tuning knobs for a service instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,7 +120,10 @@ pub enum Rejected {
         /// The configured per-session cap.
         cap: usize,
     },
-    /// The service is draining; no new work is admitted.
+    /// No new work is admitted here: the wire front door answers this
+    /// to submits that arrive after a `Drain` consumed the service, and
+    /// [`DurableService`] to submits for a session it expelled in a live
+    /// rebalance. [`Service`] itself never returns it.
     ShuttingDown,
     /// Deliberately shed under overload pressure: the service is over
     /// its SLO (or its queue pressure threshold) and this session's
@@ -191,8 +192,6 @@ pub struct ServeStats {
     pub rejected_queue_full: u64,
     /// Submissions rejected: per-session cap reached.
     pub rejected_session_busy: u64,
-    /// Submissions rejected: service draining.
-    pub rejected_shutting_down: u64,
     /// Batches dispatched to workers.
     pub dispatches: u64,
     /// Dispatches that stole a session from another worker's queue.
@@ -251,173 +250,11 @@ pub struct ServiceOutcome {
     pub wall_ns: u64,
 }
 
-/// The multi-session taint-checking service. See the crate docs.
-pub struct Service {
-    sched: Sched,
-    /// The virtual worker [`pump`](Self::pump) serves next.
-    cursor: usize,
-    started: Instant,
-}
-
-impl Service {
-    /// Single-threaded service with virtual workers and a seeded
-    /// round-robin scheduler: byte-deterministic, no wall clock in any
-    /// decision.
-    #[must_use]
-    pub fn deterministic(cfg: ServeConfig, plan: FaultPlan) -> Self {
-        let cfg = cfg.sanitized();
-        let cursor = (latch_faults::mix(cfg.seed, 0x5E2_17E, 0) % cfg.workers as u64) as usize;
-        Self {
-            sched: Sched::new(cfg, plan),
-            cursor,
-            started: Instant::now(),
-        }
-    }
-
-    /// Submits a batch of events for `session` at [`Priority::Normal`].
-    /// Events of one session are applied in submission order; events of
-    /// different sessions interleave arbitrarily.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Rejected`] (and changes nothing) when admission
-    /// control refuses the batch.
-    pub fn submit(&mut self, session: u64, events: &[Event]) -> Result<(), Rejected> {
-        self.submit_with_priority(session, events, Priority::Normal)
-    }
-
-    /// Like [`submit`](Self::submit) with an explicit admission class.
-    /// The class is sticky: the session keeps the priority of its first
-    /// admission, whatever later calls pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Rejected`] (and changes nothing) when admission
-    /// control refuses the batch — including [`Rejected::Shed`] when
-    /// the overload policy drops it by priority.
-    pub fn submit_with_priority(
-        &mut self,
-        session: u64,
-        events: &[Event],
-        priority: Priority,
-    ) -> Result<(), Rejected> {
-        self.sched.submit(session, events, priority)
-    }
-
-    /// Session ids currently degraded to coarse-only screening, sorted.
-    #[must_use]
-    pub fn degraded_sessions(&self) -> Vec<u64> {
-        self.sched.degraded_sessions()
-    }
-
-    /// Runs the virtual workers until every queued event is applied.
-    pub fn pump(&mut self) {
-        while !self.sched.idle() {
-            let w = self.cursor;
-            self.cursor = (self.cursor + 1) % self.sched.workers();
-            if let Some(item) = self.sched.next_work(w) {
-                let result = process(item);
-                self.sched.complete(w, result);
-            }
-        }
-    }
-
-    /// Graceful drain: stops admitting, applies everything queued, and
-    /// returns per-session results.
-    #[must_use]
-    pub fn finish(mut self) -> ServiceOutcome {
-        self.sched.start_drain();
-        self.pump();
-        outcome_from(self.sched, self.started)
-    }
-
-    /// Session ids with any state in the scheduler, sorted.
-    #[must_use]
-    pub fn session_ids(&self) -> Vec<u64> {
-        self.sched.session_ids()
-    }
-
-    /// `(applied, epoch)` for a quiescent session — see
-    /// [`snapshot_session`](Self::snapshot_session) for when `None`.
-    #[must_use]
-    pub fn session_progress(&self, session: u64) -> Option<(u64, u64)> {
-        self.sched.session_progress(session)
-    }
-
-    /// Byte-stable snapshot `(applied, epoch, blob)` of a quiescent
-    /// session. `None` for sessions that never ran or whose batch is
-    /// mid-flight — the durability layer simply snapshots them at the
-    /// next quiescent point.
-    #[must_use]
-    pub fn snapshot_session(&self, session: u64) -> Option<(u64, u64, Vec<u8>)> {
-        self.sched.snapshot_session(session)
-    }
-
-    /// Installs a recovered session as if it had been evicted at
-    /// `applied`/`epoch`, rehydrating its sticky `priority` class.
-    /// Used by crash recovery before any traffic reaches the rebuilt
-    /// service.
-    pub fn preload_session(
-        &mut self,
-        session: u64,
-        blob: Vec<u8>,
-        applied: u64,
-        epoch: u64,
-        priority: Priority,
-    ) {
-        self.sched.preload_session(session, blob, applied, epoch, priority)
-    }
-
-    /// SLO report cuts taken so far, in cut order. The vector only
-    /// grows while the service runs, so a caller can stream new cuts
-    /// by keeping a cursor into it — the wire server pushes the suffix
-    /// to subscribed connections after each reply.
-    #[must_use]
-    pub fn slo_reports(&self) -> Vec<SloReport> {
-        self.sched.slo_reports.clone()
-    }
-
-    /// The sticky admission class of a known session, or `None` for a
-    /// session the service has never admitted (or preloaded).
-    #[must_use]
-    pub fn session_priority(&self, session: u64) -> Option<Priority> {
-        self.sched.session_priority(session)
-    }
-}
-
-fn outcome_from(mut sched: Sched, started: Instant) -> ServiceOutcome {
-    let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    // Any session still degraded at drain end is promoted now: its
-    // deferred span replays through the precise tier, so every final
-    // report is byte-identical to an unpressured solo run of the
-    // session's admitted stream.
-    sched.promote_all();
-    let stats = sched.stats;
-    let worker_busy_cycles = sched.worker_busy.clone();
-    let batch_cycles = sched.batch_cycles.clone();
-    let slo_reports = sched.slo_reports.clone();
-    let degraded_spans = sched.degraded_spans.clone();
-    let pipelines = sched.into_sessions();
-    let sessions = pipelines
-        .iter()
-        .map(|(id, p)| (*id, p.report()))
-        .collect();
-    ServiceOutcome {
-        sessions,
-        pipelines,
-        stats,
-        worker_busy_cycles,
-        batch_cycles,
-        slo_reports,
-        degraded_spans,
-        wall_ns,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use latch_sim::event::EventSource;
+    use latch_faults::FaultPlan;
+    use latch_sim::event::{Event, EventSource};
     use latch_workloads::BenchmarkProfile;
 
     fn events(name: &str, seed: u64, n: u64) -> Vec<Event> {
@@ -477,7 +314,6 @@ mod tests {
         assert_send::<SessionPipeline>();
         assert_send::<Event>();
         assert_send::<Vec<u8>>();
-        assert_send::<Sched>();
         assert_send::<Service>();
     }
 

@@ -1,18 +1,21 @@
-//! The scheduler core behind [`Service`](crate::Service).
+//! The scheduler: [`Service`] and everything it decides.
 //!
-//! All scheduling state lives in one [`Sched`] value: session slots,
+//! The service owns all scheduling state directly: session slots,
 //! per-worker ready queues, admission counters, the fault injector, and
-//! the cost accounting. The service owns it directly and drives virtual
-//! workers with a seeded round-robin cursor: each dispatch pulls a
-//! [`WorkItem`] out, runs it through [`process`], and pushes the
-//! [`BatchResult`] back in. Event application itself never touches the
-//! scheduling state.
+//! the cost accounting. [`pump`](Service::pump) drives virtual workers
+//! with a seeded round-robin cursor, and each turn is one in-place
+//! dispatch step: pop a ready session, take up to `batch_max` of its
+//! events, materialise its pipeline in the slot, apply the batch, and
+//! fold the result back into the stats, queues and SLO policy. A batch
+//! runs to completion inside its step, so nothing is ever in flight
+//! between steps.
 //!
 //! Invariants:
 //!
-//! * A session is on at most one ready queue, and never while a worker
-//!   is running its batch (`SlotState::Running`), so per-session event
-//!   order is submission order — always.
+//! * A session is on at most one ready queue, and a step takes its
+//!   batch from the front of the session's pending queue (a killed
+//!   batch goes back to that front), so per-session event order is
+//!   submission order — always.
 //! * `pending_total` counts exactly the events sitting in session
 //!   pending queues; admission control gates on it before any state
 //!   changes, so a rejected submit is a complete no-op.
@@ -21,13 +24,14 @@
 //!   death-replay are invisible in per-session reports.
 
 use crate::overload::{DegradedSpan, Priority, Slo, SloReport, SloSampler};
-use crate::{Rejected, ServeConfig, ServeStats};
+use crate::{Rejected, ServeConfig, ServeStats, ServiceOutcome};
 use latch_faults::{FaultInjector, FaultPlan};
 use latch_obs::TraceEvent;
 use latch_sim::event::Event;
 use latch_systems::cost::CostModel;
 use latch_systems::session::SessionPipeline;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::time::Instant;
 
 /// Where one session's state currently lives.
 enum SlotState {
@@ -37,8 +41,6 @@ enum SlotState {
     Live(Box<SessionPipeline>),
     /// Evicted to a snapshot blob.
     Frozen(Vec<u8>),
-    /// A worker is applying a batch right now.
-    Running,
 }
 
 /// The coarse-only degradation state of one demoted session.
@@ -90,112 +92,23 @@ impl Slot {
     }
 }
 
-/// One dispatched batch: everything a worker needs to run it.
-pub(crate) struct WorkItem {
-    pub session: u64,
-    pub pipeline: Box<SessionPipeline>,
-    pub batch: Vec<Event>,
-    /// Pipeline cycle count at batch start (for per-batch latency).
-    pub start_cycles: u64,
-    /// Pre-batch snapshot, taken only when the plan arms worker kills
-    /// — the checkpoint a death replay restores from.
-    pub checkpoint: Option<Vec<u8>>,
-    /// Injected death: the worker dies after applying this many events
-    /// of the batch.
-    pub kill_at: Option<usize>,
-    /// Degraded dispatch: apply the batch through the coarse tier only.
-    pub coarse_only: bool,
-}
-
-/// What a worker hands back after running a batch.
-pub(crate) enum BatchResult {
-    Done {
-        session: u64,
-        pipeline: Box<SessionPipeline>,
-        /// Cycles the batch consumed.
-        cycles: u64,
-        /// The batch itself, handed back so a degraded session's
-        /// deferred buffer grows only on completion (a died batch is
-        /// replayed, never double-deferred).
-        batch: Vec<Event>,
-    },
-    /// The worker died mid-batch. `pipeline` is the checkpoint state
-    /// (everything the dead worker did is discarded) and `batch` is the
-    /// full batch, to be replayed on a surviving worker.
-    Died {
-        session: u64,
-        pipeline: Box<SessionPipeline>,
-        batch: Vec<Event>,
-    },
-}
-
-/// Applies a batch to its pipeline. Pure with respect to scheduler
-/// state.
-pub(crate) fn process(mut item: WorkItem) -> BatchResult {
-    if let (Some(kill_at), Some(blob)) = (item.kill_at, item.checkpoint.as_ref()) {
-        // The worker makes partial progress, then dies: its pipeline
-        // (and everything applied since the checkpoint) is lost.
-        for ev in item.batch.iter().take(kill_at) {
-            if item.coarse_only {
-                item.pipeline.apply_coarse_only(ev);
-            } else {
-                item.pipeline.apply(ev);
-            }
-        }
-        let restored =
-            Box::new(SessionPipeline::from_snapshot(blob).expect("own snapshot must decode"));
-        return BatchResult::Died {
-            session: item.session,
-            pipeline: restored,
-            batch: item.batch,
-        };
-    }
-    if item.coarse_only {
-        // Degraded span: coarse screen only, no precise mirror. The
-        // whole point of demotion is the cost: one cycle per event,
-        // none of the coarse-tier penalty cycles a precise batch pays.
-        for ev in &item.batch {
-            item.pipeline.apply_coarse_only(ev);
-        }
-        let cycles = item.batch.len() as u64;
-        return BatchResult::Done {
-            session: item.session,
-            pipeline: item.pipeline,
-            cycles,
-            batch: item.batch,
-        };
-    }
-    for ev in &item.batch {
-        item.pipeline.apply(ev);
-    }
-    let cycles = item.pipeline.cycles() - item.start_cycles;
-    BatchResult::Done {
-        session: item.session,
-        pipeline: item.pipeline,
-        cycles,
-        batch: item.batch,
-    }
-}
-
-/// The complete scheduling state of a service instance.
-pub(crate) struct Sched {
+/// The multi-session taint-checking service. See the crate docs.
+pub struct Service {
     cfg: ServeConfig,
     cost: CostModel,
     slots: HashMap<u64, Slot>,
     ready: Vec<VecDeque<u64>>,
     pending_total: usize,
-    in_flight: usize,
     tick: u64,
-    draining: bool,
     inj: FaultInjector,
     alive: Vec<bool>,
     alive_count: usize,
     live_resident: usize,
-    pub stats: ServeStats,
+    stats: ServeStats,
     /// Simulated busy cycles per worker (batch cost + context switch).
-    pub worker_busy: Vec<u64>,
+    worker_busy: Vec<u64>,
     /// Per-batch latency samples, in simulated cycles.
-    pub batch_cycles: Vec<u64>,
+    batch_cycles: Vec<u64>,
     /// The SLO policy (a sanitized copy of `cfg.slo`).
     slo: Slo,
     /// Sliding window of per-batch costs feeding the percentile cuts.
@@ -209,24 +122,30 @@ pub(crate) struct Sched {
     clean_streak: u32,
     degraded_count: usize,
     /// Every SLO cut, in order.
-    pub slo_reports: Vec<SloReport>,
+    slo_reports: Vec<SloReport>,
     /// Every completed degradation span, in promotion order.
-    pub degraded_spans: Vec<DegradedSpan>,
+    degraded_spans: Vec<DegradedSpan>,
+    /// The virtual worker [`pump`](Self::pump) serves next.
+    cursor: usize,
+    started: Instant,
 }
 
-impl Sched {
-    pub fn new(cfg: ServeConfig, plan: FaultPlan) -> Self {
+impl Service {
+    /// Single-threaded service with virtual workers and a seeded
+    /// round-robin scheduler: byte-deterministic, no wall clock in any
+    /// decision.
+    #[must_use]
+    pub fn deterministic(cfg: ServeConfig, plan: FaultPlan) -> Self {
+        let cfg = cfg.sanitized();
         let workers = cfg.workers;
-        let slo = cfg.slo.sanitized();
+        let cursor = (latch_faults::mix(cfg.seed, 0x5E2_17E, 0) % workers as u64) as usize;
         Self {
             cfg,
             cost: CostModel::default(),
             slots: HashMap::new(),
             ready: vec![VecDeque::new(); workers],
             pending_total: 0,
-            in_flight: 0,
             tick: 0,
-            draining: false,
             inj: FaultInjector::new(plan),
             alive: vec![true; workers],
             alive_count: workers,
@@ -234,8 +153,8 @@ impl Sched {
             stats: ServeStats::default(),
             worker_busy: vec![0; workers],
             batch_cycles: Vec::new(),
-            slo,
-            sampler: SloSampler::new(slo.window),
+            slo: cfg.slo,
+            sampler: SloSampler::new(cfg.slo.window),
             completed: 0,
             last_breach: false,
             breach_streak: 0,
@@ -243,60 +162,41 @@ impl Sched {
             degraded_count: 0,
             slo_reports: Vec::new(),
             degraded_spans: Vec::new(),
+            cursor,
+            started: Instant::now(),
         }
     }
 
-    pub fn workers(&self) -> usize {
-        self.cfg.workers
+    /// Submits a batch of events for `session` at [`Priority::Normal`].
+    /// Events of one session are applied in submission order; events of
+    /// different sessions interleave arbitrarily.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Rejected`] (and changes nothing) when admission
+    /// control refuses the batch.
+    pub fn submit(&mut self, session: u64, events: &[Event]) -> Result<(), Rejected> {
+        self.submit_with_priority(session, events, Priority::Normal)
     }
 
-    pub fn start_drain(&mut self) {
-        self.draining = true;
-    }
-
-    /// No queued events, nothing on any ready queue, nothing in flight.
-    pub fn idle(&self) -> bool {
-        self.pending_total == 0 && self.in_flight == 0 && self.ready.iter().all(VecDeque::is_empty)
-    }
-
-    fn first_alive(&self) -> usize {
-        self.alive
-            .iter()
-            .position(|&a| a)
-            .expect("at least one worker survives")
-    }
-
-    /// The current overload pressure level, a pure function of
-    /// scheduler state: 0 = none, 1 = shed bulk, 2 = shed bulk and
-    /// normal. The latency half (`last_breach`) only changes at report
-    /// cuts, so a submission's verdict depends on nothing but admitted
-    /// history — byte-identical across reruns.
-    fn pressure(&self, incoming: usize) -> u8 {
-        if self.slo.slo_cycles == 0 {
-            return 0;
-        }
-        let occupied = (self.pending_total + incoming) * 100
-            >= self.cfg.queue_events * self.slo.queue_pressure_pct as usize;
-        match (self.last_breach, occupied) {
-            (true, true) => 2,
-            (true, false) | (false, true) => 1,
-            (false, false) => 0,
-        }
-    }
-
-    /// Admission-controlled enqueue of a batch of events for `session`.
+    /// Like [`submit`](Self::submit) with an explicit admission class.
+    /// The class is sticky: the session keeps the priority of its first
+    /// admission, whatever later calls pass.
+    ///
     /// Reject-before-mutate: every `Err` leaves the scheduler
     /// byte-identical (only the matching rejection counter moves).
-    pub fn submit(
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Rejected`] (and changes nothing) when admission
+    /// control refuses the batch — including [`Rejected::Shed`] when
+    /// the overload policy drops it by priority.
+    pub fn submit_with_priority(
         &mut self,
         session: u64,
         events: &[Event],
         priority: Priority,
     ) -> Result<(), Rejected> {
-        if self.draining {
-            self.stats.rejected_shutting_down = self.stats.rejected_shutting_down.saturating_add(1);
-            return Err(Rejected::ShuttingDown);
-        }
         if events.is_empty() {
             return Ok(());
         }
@@ -344,12 +244,13 @@ impl Sched {
             });
         }
         slot.pending.extend(events.iter().copied());
-        let enqueue = !slot.enqueued && !matches!(slot.state, SlotState::Running);
-        if enqueue {
-            slot.enqueued = true;
-        }
+        let enqueue = !slot.enqueued;
+        slot.enqueued = true;
         self.pending_total += events.len();
-        self.stats.submitted_events = self.stats.submitted_events.saturating_add(events.len() as u64);
+        self.stats.submitted_events = self
+            .stats
+            .submitted_events
+            .saturating_add(events.len() as u64);
         if self.pending_total as u64 > self.stats.queue_depth_hwm {
             self.stats.queue_depth_hwm = self.pending_total as u64;
             latch_obs::watermark("serve.queue.depth", self.pending_total as u64);
@@ -364,6 +265,184 @@ impl Sched {
             self.ready[w].push_back(session);
         }
         Ok(())
+    }
+
+    /// Session ids currently degraded to coarse-only screening, sorted.
+    #[must_use]
+    pub fn degraded_sessions(&self) -> Vec<u64> {
+        let mut ids: Vec<u64> = self
+            .slots
+            .iter()
+            .filter(|(_, s)| s.degraded.is_some())
+            .map(|(id, _)| *id)
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Runs the virtual workers until every queued event is applied.
+    pub fn pump(&mut self) {
+        while !self.idle() {
+            let w = self.cursor;
+            self.cursor = (self.cursor + 1) % self.cfg.workers;
+            self.step(w);
+        }
+    }
+
+    /// Graceful drain: applies everything queued and returns
+    /// per-session results.
+    #[must_use]
+    pub fn finish(mut self) -> ServiceOutcome {
+        self.pump();
+        let wall_ns = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        // Any session still degraded at drain end is promoted now: its
+        // deferred span replays through the precise tier, so every final
+        // report is byte-identical to an unpressured solo run of the
+        // session's admitted stream.
+        self.promote_all();
+        debug_assert_eq!(self.degraded_count, 0);
+        let scrub_interval = self.cfg.scrub_interval;
+        let pipelines: BTreeMap<u64, SessionPipeline> =
+            self.slots
+                .into_iter()
+                .map(|(id, slot)| {
+                    let pipeline = match slot.state {
+                        SlotState::Live(p) => *p,
+                        SlotState::Frozen(blob) => SessionPipeline::from_snapshot(&blob)
+                            .expect("frozen blob is self-produced"),
+                        SlotState::Fresh => SessionPipeline::new(scrub_interval),
+                    };
+                    (id, pipeline)
+                })
+                .collect();
+        let sessions = pipelines.iter().map(|(id, p)| (*id, p.report())).collect();
+        ServiceOutcome {
+            sessions,
+            pipelines,
+            stats: self.stats,
+            worker_busy_cycles: self.worker_busy,
+            batch_cycles: self.batch_cycles,
+            slo_reports: self.slo_reports,
+            degraded_spans: self.degraded_spans,
+            wall_ns,
+        }
+    }
+
+    /// Session ids with any state in the scheduler, sorted.
+    #[must_use]
+    pub fn session_ids(&self) -> Vec<u64> {
+        let mut ids: Vec<u64> = self.slots.keys().copied().collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// `(applied, epoch)` for a session at its last quiescent point —
+    /// see [`snapshot_session`](Self::snapshot_session) for when
+    /// `None`.
+    #[must_use]
+    pub fn session_progress(&self, session: u64) -> Option<(u64, u64)> {
+        let slot = self.slots.get(&session)?;
+        if slot.degraded.is_some() {
+            // A degraded session's durable progress is its demotion
+            // checkpoint: the coarse pipeline past it is provisional.
+            return Some((slot.applied, slot.epoch));
+        }
+        match &slot.state {
+            SlotState::Live(p) => Some((p.applied(), p.epoch())),
+            SlotState::Frozen(_) => Some((slot.applied, slot.epoch)),
+            SlotState::Fresh => None,
+        }
+    }
+
+    /// Byte-stable snapshot `(applied, epoch, blob)` of a session.
+    /// Frozen slots hand back their blob without thawing; `None` for
+    /// sessions that never ran — the durability layer simply snapshots
+    /// them once they have.
+    #[must_use]
+    pub fn snapshot_session(&self, session: u64) -> Option<(u64, u64, Vec<u8>)> {
+        let slot = self.slots.get(&session)?;
+        if let Some(d) = &slot.degraded {
+            // The durable snapshot of a degraded session is its precise
+            // demotion checkpoint — WAL replay from `applied` then
+            // re-derives the deferred span precisely on recovery.
+            return Some((slot.applied, slot.epoch, d.checkpoint.clone()));
+        }
+        match &slot.state {
+            SlotState::Live(p) => Some((p.applied(), p.epoch(), p.to_snapshot())),
+            SlotState::Frozen(blob) => Some((slot.applied, slot.epoch, blob.clone())),
+            SlotState::Fresh => None,
+        }
+    }
+
+    /// Installs a recovered session as a frozen slot, as if it had
+    /// been evicted at `applied`/`epoch`. Crash recovery calls this
+    /// before any traffic reaches the rebuilt service; the slot thaws
+    /// lazily on first dispatch like any evicted session. `priority`
+    /// rehydrates the sticky admission class the session held before
+    /// the crash — priority is sticky, so recreating the slot at the
+    /// default would silently downgrade it forever.
+    pub fn preload_session(
+        &mut self,
+        session: u64,
+        blob: Vec<u8>,
+        applied: u64,
+        epoch: u64,
+        priority: Priority,
+    ) {
+        let slot = self
+            .slots
+            .entry(session)
+            .or_insert_with(|| Slot::new(priority));
+        slot.priority = priority;
+        slot.state = SlotState::Frozen(blob);
+        slot.applied = applied;
+        slot.epoch = epoch;
+    }
+
+    /// SLO report cuts taken so far, in cut order. The slice only
+    /// grows while the service runs, so a caller can stream new cuts
+    /// by keeping a cursor into it — the wire server pushes the suffix
+    /// to subscribed connections after each reply.
+    #[must_use]
+    pub fn slo_reports(&self) -> &[SloReport] {
+        &self.slo_reports
+    }
+
+    /// The sticky admission class of a known session, or `None` for a
+    /// session the service has never admitted (or preloaded).
+    #[must_use]
+    pub fn session_priority(&self, session: u64) -> Option<Priority> {
+        self.slots.get(&session).map(|s| s.priority)
+    }
+
+    /// No queued events and nothing on any ready queue.
+    fn idle(&self) -> bool {
+        self.pending_total == 0 && self.ready.iter().all(VecDeque::is_empty)
+    }
+
+    fn first_alive(&self) -> usize {
+        self.alive
+            .iter()
+            .position(|&a| a)
+            .expect("at least one worker survives")
+    }
+
+    /// The current overload pressure level, a pure function of
+    /// scheduler state: 0 = none, 1 = shed bulk, 2 = shed bulk and
+    /// normal. The latency half (`last_breach`) only changes at report
+    /// cuts, so a submission's verdict depends on nothing but admitted
+    /// history — byte-identical across reruns.
+    fn pressure(&self, incoming: usize) -> u8 {
+        if self.slo.slo_cycles == 0 {
+            return 0;
+        }
+        let occupied = (self.pending_total + incoming) * 100
+            >= self.cfg.queue_events * self.slo.queue_pressure_pct as usize;
+        match (self.last_breach, occupied) {
+            (true, true) => 2,
+            (true, false) | (false, true) => 1,
+            (false, false) => 0,
+        }
     }
 
     /// Pops the next session for `worker`: its own queue first, then a
@@ -382,159 +461,146 @@ impl Sched {
         Some(s)
     }
 
-    /// Dispatches up to one coalesced batch to `worker`. Returns `None`
-    /// when the worker is dead or no session is ready.
-    pub fn next_work(&mut self, worker: usize) -> Option<WorkItem> {
+    /// One dispatch on `worker`, in place: pops a ready session, runs
+    /// up to `batch_max` of its events through its pipeline, and folds
+    /// the result back. Does nothing when the worker is dead or no
+    /// session is ready.
+    fn step(&mut self, worker: usize) {
         if !self.alive[worker] {
-            return None;
+            return;
         }
-        let session = self.pop_ready(worker)?;
-        let batch_max = self.cfg.batch_max;
-        let scrub_interval = self.cfg.scrub_interval;
+        let Some(session) = self.pop_ready(worker) else {
+            return;
+        };
         let slot = self.slots.get_mut(&session).expect("ready session exists");
         slot.enqueued = false;
         let coarse_only = slot.degraded.is_some();
-        let take = slot.pending.len().min(batch_max);
+        let take = slot.pending.len().min(self.cfg.batch_max);
         let batch: Vec<Event> = slot.pending.drain(..take).collect();
-        let (pipeline, was_live, restored) =
-            match std::mem::replace(&mut slot.state, SlotState::Running) {
-                SlotState::Live(p) => (p, true, false),
-                SlotState::Frozen(blob) => (
-                    Box::new(
-                        SessionPipeline::from_snapshot(&blob)
-                            .expect("frozen blob is self-produced"),
-                    ),
-                    false,
-                    true,
-                ),
-                SlotState::Fresh => (Box::new(SessionPipeline::new(scrub_interval)), false, false),
-                SlotState::Running => unreachable!("session dispatched twice concurrently"),
-            };
-        if was_live {
-            self.live_resident -= 1;
-        }
-        if restored {
-            self.stats.restores = self.stats.restores.saturating_add(1);
-            latch_obs::counter_inc("serve.session.restores");
-            latch_obs::emit("serve", TraceEvent::SessionRestore { session });
-        }
+        let mut pipeline = match std::mem::replace(&mut slot.state, SlotState::Fresh) {
+            SlotState::Live(p) => {
+                self.live_resident -= 1;
+                p
+            }
+            SlotState::Frozen(blob) => {
+                self.stats.restores = self.stats.restores.saturating_add(1);
+                latch_obs::counter_inc("serve.session.restores");
+                latch_obs::emit("serve", TraceEvent::SessionRestore { session });
+                Box::new(
+                    SessionPipeline::from_snapshot(&blob).expect("frozen blob is self-produced"),
+                )
+            }
+            SlotState::Fresh => Box::new(SessionPipeline::new(self.cfg.scrub_interval)),
+        };
         self.pending_total -= batch.len();
-        self.in_flight += 1;
         let batch_index = self.stats.dispatches;
         self.stats.dispatches = self.stats.dispatches.saturating_add(1);
         latch_obs::histogram_record("serve.batch.events", batch.len() as u64);
-        let arm_kills = self.inj.plan().worker.kill_per_mille > 0;
-        let checkpoint = arm_kills.then(|| pipeline.to_snapshot());
-        let kill_at = if arm_kills && self.alive_count > 1 {
+        let kill_at = if self.inj.plan().worker.kill_per_mille > 0 && self.alive_count > 1 {
             self.inj.worker_kill_at(batch_index, batch.len())
         } else {
             None
         };
-        let start_cycles = pipeline.cycles();
-        Some(WorkItem {
-            session,
-            pipeline,
-            batch,
-            start_cycles,
-            checkpoint,
-            kill_at,
-            coarse_only,
-        })
-    }
-
-    /// Folds a finished (or died) batch back into the scheduler.
-    pub fn complete(&mut self, worker: usize, result: BatchResult) {
-        self.in_flight -= 1;
-        self.tick += 1;
-        let tick = self.tick;
-        match result {
-            BatchResult::Done {
-                session,
-                pipeline,
-                cycles,
-                batch,
-            } => {
-                self.worker_busy[worker] = self.worker_busy[worker]
-                    .saturating_add(cycles.saturating_add(self.cost.ctx_switch_cycles));
-                self.batch_cycles.push(cycles);
-                latch_obs::histogram_record("serve.batch.cycles", cycles);
-                let slot = self.slots.get_mut(&session).expect("running session exists");
-                if let Some(d) = slot.degraded.as_mut() {
-                    // A degraded slot's dispatch was coarse-only (demote
-                    // and promote both skip `Running` slots, so the flag
-                    // cannot change mid-batch). Defer the batch for the
-                    // precise resync and keep `applied`/`epoch` frozen
-                    // at the demotion point — the durability layer must
-                    // keep snapshotting the precise checkpoint.
-                    let n = batch.len() as u64;
-                    d.deferred.extend(batch);
-                    self.stats.coarse_batches = self.stats.coarse_batches.saturating_add(1);
-                    self.stats.coarse_events = self.stats.coarse_events.saturating_add(n);
-                } else {
-                    slot.applied = pipeline.applied();
-                    slot.epoch = pipeline.epoch();
+        // `None` when the worker dies mid-batch: it makes partial
+        // progress, then its pipeline (and everything applied since the
+        // pre-batch checkpoint) is lost.
+        let cycles = match kill_at {
+            Some(kill_at) => {
+                let checkpoint = pipeline.to_snapshot();
+                for ev in batch.iter().take(kill_at) {
+                    if coarse_only {
+                        pipeline.apply_coarse_only(ev);
+                    } else {
+                        pipeline.apply(ev);
+                    }
                 }
-                slot.state = SlotState::Live(pipeline);
-                slot.last_active = tick;
-                let requeue = !slot.pending.is_empty();
-                if requeue {
-                    slot.enqueued = true;
-                }
-                self.live_resident += 1;
-                if requeue {
-                    self.ready[worker].push_back(session);
-                }
-                self.maybe_evict();
-                self.note_batch(cycles);
-            }
-            BatchResult::Died {
-                session,
-                pipeline,
-                batch,
-            } => {
-                self.alive[worker] = false;
-                self.alive_count -= 1;
-                self.stats.worker_kills = self.stats.worker_kills.saturating_add(1);
-                self.stats.replayed_events =
-                    self.stats.replayed_events.saturating_add(batch.len() as u64);
-                latch_obs::counter_inc("serve.worker.deaths");
-                latch_obs::emit(
-                    "serve",
-                    TraceEvent::WorkerDeath {
-                        worker: worker as u32,
-                        replayed: batch.len() as u64,
-                    },
+                pipeline = Box::new(
+                    SessionPipeline::from_snapshot(&checkpoint).expect("own snapshot must decode"),
                 );
-                // Orphaned ready sessions move to a survivor wholesale.
-                let target = self.first_alive();
-                let orphans: Vec<u64> = self.ready[worker].drain(..).collect();
-                self.ready[target].extend(orphans);
-                // The batch goes back to the *front* of the session's
-                // pending queue so replay preserves event order, and the
-                // checkpoint pipeline becomes resident again.
-                self.pending_total += batch.len();
-                let slot = self.slots.get_mut(&session).expect("running session exists");
-                for ev in batch.into_iter().rev() {
-                    slot.pending.push_front(ev);
-                }
-                if slot.degraded.is_none() {
-                    // Mirror the Done handler: for a degraded slot the
-                    // dispatch checkpoint is the provisional *coarse*
-                    // pipeline, whose applied count includes coarse-only
-                    // events. Copying it would advance the frozen
-                    // durability cursor past the demotion checkpoint
-                    // while snapshots still carry the precise blob —
-                    // recovery would then skip the deferred span.
-                    slot.applied = pipeline.applied();
-                    slot.epoch = pipeline.epoch();
-                }
-                slot.state = SlotState::Live(pipeline);
-                slot.last_active = tick;
-                slot.enqueued = true;
-                self.live_resident += 1;
-                self.ready[target].push_back(session);
+                None
             }
+            // Degraded span: coarse screen only, no precise mirror. The
+            // whole point of demotion is the cost: one cycle per event,
+            // none of the coarse-tier penalty cycles a precise batch pays.
+            None if coarse_only => {
+                for ev in &batch {
+                    pipeline.apply_coarse_only(ev);
+                }
+                Some(batch.len() as u64)
+            }
+            None => {
+                let start_cycles = pipeline.cycles();
+                for ev in &batch {
+                    pipeline.apply(ev);
+                }
+                Some(pipeline.cycles() - start_cycles)
+            }
+        };
+
+        self.tick += 1;
+        let slot = self
+            .slots
+            .get_mut(&session)
+            .expect("dispatched session exists");
+        if slot.degraded.is_none() {
+            // A degraded slot keeps `applied`/`epoch` frozen at the
+            // demotion point: snapshots carry the precise checkpoint,
+            // while its pipeline — even a death-replay checkpoint — is
+            // the provisional coarse one. Advancing the cursor would make
+            // recovery skip the deferred span.
+            slot.applied = pipeline.applied();
+            slot.epoch = pipeline.epoch();
         }
+        slot.state = SlotState::Live(pipeline);
+        slot.last_active = self.tick;
+        self.live_resident += 1;
+        let Some(cycles) = cycles else {
+            // The whole batch goes back to the *front* of the session's
+            // pending queue so replay preserves event order.
+            let replayed = batch.len() as u64;
+            self.pending_total += batch.len();
+            for ev in batch.into_iter().rev() {
+                slot.pending.push_front(ev);
+            }
+            slot.enqueued = true;
+            self.alive[worker] = false;
+            self.alive_count -= 1;
+            self.stats.worker_kills = self.stats.worker_kills.saturating_add(1);
+            self.stats.replayed_events = self.stats.replayed_events.saturating_add(replayed);
+            latch_obs::counter_inc("serve.worker.deaths");
+            latch_obs::emit(
+                "serve",
+                TraceEvent::WorkerDeath {
+                    worker: worker as u32,
+                    replayed,
+                },
+            );
+            // Orphaned ready sessions move to a survivor wholesale,
+            // ahead of the replay.
+            let target = self.first_alive();
+            let orphans: Vec<u64> = self.ready[worker].drain(..).collect();
+            self.ready[target].extend(orphans);
+            self.ready[target].push_back(session);
+            return;
+        };
+        if let Some(d) = slot.degraded.as_mut() {
+            // Defer the batch for the precise resync at promotion.
+            let n = batch.len() as u64;
+            d.deferred.extend(batch);
+            self.stats.coarse_batches = self.stats.coarse_batches.saturating_add(1);
+            self.stats.coarse_events = self.stats.coarse_events.saturating_add(n);
+        }
+        let requeue = !slot.pending.is_empty();
+        slot.enqueued = requeue;
+        if requeue {
+            self.ready[worker].push_back(session);
+        }
+        self.worker_busy[worker] = self.worker_busy[worker]
+            .saturating_add(cycles.saturating_add(self.cost.ctx_switch_cycles));
+        self.batch_cycles.push(cycles);
+        latch_obs::histogram_record("serve.batch.cycles", cycles);
+        self.maybe_evict();
+        self.note_batch(cycles);
     }
 
     /// Records one completed batch in the SLO sampler and, on cadence,
@@ -564,7 +630,8 @@ impl Sched {
         {
             self.demote_one();
         } else if !report.breach && self.clean_streak >= self.slo.promote_after {
-            self.promote_quiescent();
+            self.promote_all();
+            self.maybe_evict();
         }
         report.degraded = self.degraded_count as u32;
         latch_obs::emit(
@@ -580,10 +647,9 @@ impl Sched {
     }
 
     /// Demotes the lowest-priority demotable session to coarse-only
-    /// screening. Candidates must be quiescent (`Live` or `Frozen` —
-    /// never mid-batch) and never `Critical`; ties break to the
-    /// smallest session id, so the choice is a pure function of
-    /// scheduler state.
+    /// screening. Candidates must have state (`Live` or `Frozen`) and
+    /// never be `Critical`; ties break to the smallest session id, so
+    /// the choice is a pure function of scheduler state.
     fn demote_one(&mut self) {
         let victim = self
             .slots
@@ -591,7 +657,7 @@ impl Sched {
             .filter(|(_, s)| {
                 s.degraded.is_none()
                     && s.priority != Priority::Critical
-                    && matches!(s.state, SlotState::Live(_) | SlotState::Frozen(_))
+                    && !matches!(s.state, SlotState::Fresh)
             })
             .max_by_key(|(id, s)| (s.priority.rank(), std::cmp::Reverse(**id)))
             .map(|(id, _)| *id);
@@ -600,7 +666,7 @@ impl Sched {
         let checkpoint = match &slot.state {
             SlotState::Live(p) => p.to_snapshot(),
             SlotState::Frozen(blob) => blob.clone(),
-            SlotState::Fresh | SlotState::Running => unreachable!("victim filter is quiescent"),
+            SlotState::Fresh => unreachable!("victim filter excludes fresh slots"),
         };
         slot.degraded = Some(Degraded {
             checkpoint,
@@ -621,48 +687,21 @@ impl Sched {
         );
     }
 
-    /// Promotes every degraded session that is not mid-batch: restores
+    /// Promotes every degraded session, in session-id order: restores
     /// the demotion checkpoint and replays the deferred span through
     /// the precise tier, making the span invisible in the session's
-    /// final report. A `Running` slot is skipped and caught at the next
-    /// clean cut (or at drain).
-    fn promote_quiescent(&mut self) {
-        let mut ids: Vec<u64> = self
-            .slots
-            .iter()
-            .filter(|(_, s)| s.degraded.is_some() && !matches!(s.state, SlotState::Running))
-            .map(|(id, _)| *id)
-            .collect();
-        ids.sort_unstable();
-        for id in ids {
+    /// final report.
+    fn promote_all(&mut self) {
+        for id in self.degraded_sessions() {
             self.promote(id);
         }
-        self.maybe_evict();
-    }
-
-    /// Promotes every degraded session. Only valid once the scheduler
-    /// is idle — the drain path calls this before reports are cut.
-    pub fn promote_all(&mut self) {
-        let mut ids: Vec<u64> = self
-            .slots
-            .iter()
-            .filter(|(_, s)| s.degraded.is_some())
-            .map(|(id, _)| *id)
-            .collect();
-        ids.sort_unstable();
-        for id in ids {
-            self.promote(id);
-        }
-        debug_assert_eq!(self.degraded_count, 0);
     }
 
     fn promote(&mut self, id: u64) {
         let slot = self.slots.get_mut(&id).expect("degraded slot exists");
-        let Some(d) = slot.degraded.take() else { return };
-        debug_assert!(
-            !matches!(slot.state, SlotState::Running),
-            "cannot promote a session mid-batch"
-        );
+        let Some(d) = slot.degraded.take() else {
+            return;
+        };
         let was_live = matches!(slot.state, SlotState::Live(_));
         let mut pipeline = SessionPipeline::from_snapshot(&d.checkpoint)
             .expect("demotion checkpoint is self-produced");
@@ -697,18 +736,6 @@ impl Sched {
                 replayed,
             },
         );
-    }
-
-    /// Session ids currently degraded to coarse-only, sorted.
-    pub fn degraded_sessions(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self
-            .slots
-            .iter()
-            .filter(|(_, s)| s.degraded.is_some())
-            .map(|(id, _)| *id)
-            .collect();
-        ids.sort_unstable();
-        ids
     }
 
     /// Evicts least-recently-active idle sessions to snapshot blobs
@@ -749,101 +776,5 @@ impl Sched {
             );
             slot.state = SlotState::Frozen(blob);
         }
-    }
-
-    /// Consumes the scheduler after a drain, materializing every
-    /// session (thawing frozen ones) into its final pipeline + report.
-    pub fn into_sessions(self) -> BTreeMap<u64, SessionPipeline> {
-        debug_assert!(self.idle(), "into_sessions requires a drained scheduler");
-        let scrub_interval = self.cfg.scrub_interval;
-        self.slots
-            .into_iter()
-            .map(|(id, slot)| {
-                let pipeline = match slot.state {
-                    SlotState::Live(p) => *p,
-                    SlotState::Frozen(blob) => SessionPipeline::from_snapshot(&blob)
-                        .expect("frozen blob is self-produced"),
-                    SlotState::Fresh => SessionPipeline::new(scrub_interval),
-                    SlotState::Running => unreachable!("drained scheduler has no running batch"),
-                };
-                (id, pipeline)
-            })
-            .collect()
-    }
-
-    /// Every session id the scheduler knows about, sorted.
-    pub fn session_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.slots.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// `(applied, epoch)` for a session at its last quiescent point,
-    /// or `None` for sessions with no state yet (`Fresh`) or a batch
-    /// mid-flight (`Running`).
-    pub fn session_progress(&self, session: u64) -> Option<(u64, u64)> {
-        let slot = self.slots.get(&session)?;
-        if slot.degraded.is_some() {
-            // A degraded session's durable progress is its demotion
-            // checkpoint: the coarse pipeline past it is provisional.
-            return match &slot.state {
-                SlotState::Running => None,
-                _ => Some((slot.applied, slot.epoch)),
-            };
-        }
-        match &slot.state {
-            SlotState::Live(p) => Some((p.applied(), p.epoch())),
-            SlotState::Frozen(_) => Some((slot.applied, slot.epoch)),
-            SlotState::Fresh | SlotState::Running => None,
-        }
-    }
-
-    /// A byte-stable snapshot of a quiescent session:
-    /// `(applied, epoch, blob)`. Frozen slots hand back their blob
-    /// without thawing; `Fresh` and `Running` slots return `None`.
-    pub fn snapshot_session(&self, session: u64) -> Option<(u64, u64, Vec<u8>)> {
-        let slot = self.slots.get(&session)?;
-        if let Some(d) = &slot.degraded {
-            // The durable snapshot of a degraded session is its precise
-            // demotion checkpoint — WAL replay from `applied` then
-            // re-derives the deferred span precisely on recovery.
-            return match &slot.state {
-                SlotState::Running => None,
-                _ => Some((slot.applied, slot.epoch, d.checkpoint.clone())),
-            };
-        }
-        match &slot.state {
-            SlotState::Live(p) => Some((p.applied(), p.epoch(), p.to_snapshot())),
-            SlotState::Frozen(blob) => Some((slot.applied, slot.epoch, blob.clone())),
-            SlotState::Fresh | SlotState::Running => None,
-        }
-    }
-
-    /// Installs a recovered session as a frozen slot, as if it had
-    /// been evicted at `applied`/`epoch`. Recovery calls this before
-    /// any traffic reaches the rebuilt service; the slot thaws lazily
-    /// on first dispatch like any evicted session. `priority`
-    /// rehydrates the sticky admission class the session held before
-    /// the crash — priority is sticky, so recreating the slot at the
-    /// default would silently downgrade it forever.
-    pub fn preload_session(
-        &mut self,
-        session: u64,
-        blob: Vec<u8>,
-        applied: u64,
-        epoch: u64,
-        priority: Priority,
-    ) {
-        let slot = self.slots.entry(session).or_insert_with(|| Slot::new(priority));
-        slot.priority = priority;
-        slot.state = SlotState::Frozen(blob);
-        slot.applied = applied;
-        slot.epoch = epoch;
-    }
-
-    /// The sticky admission class of a known session, or `None` for a
-    /// session the scheduler has never seen.
-    pub fn session_priority(&self, session: u64) -> Option<Priority> {
-        self.slots.get(&session).map(|s| s.priority)
     }
 }

@@ -27,15 +27,16 @@
 //! * **Telemetry** — connections that set `want_slo` receive
 //!   [`Msg::SloPush`] frames for every SLO cut, streamed after each
 //!   reply via a per-connection cursor.
-//! * **Heartbeats** — `Ping` and `NodeHello` are answered before the
-//!   service lock is taken, so a batch parked in a slow fsync cannot
-//!   make a live node miss its router's heartbeats.
+//! * **Heartbeats** — the transport answers `Ping` itself, and
+//!   `NodeHello` is answered before the service lock is taken, so a
+//!   batch parked in a slow fsync cannot make a live node miss its
+//!   router's heartbeats.
 //! * **Drain** — `Drain` takes the service, runs
 //!   [`DurableService::finish`], stores every session's final report,
 //!   and replies `Drained`. The reply is idempotent; later `Submit`s
 //!   are rejected with `ShuttingDown`, and `Report` serves individual
-//!   session reports. [`WireServer::wait_drained`] returns once a
-//!   `Drained` reply has been written (or its write failed).
+//!   session reports. [`WireServer::wait_drained`] returns once the
+//!   transport has written a `Drained` reply (or its write failed).
 //! * **Hostile bytes** — a connection that sends garbage gets a typed
 //!   `WireReject` trace event, a best-effort `Error` frame, and its
 //!   socket closed. The accept loop and every other connection are
@@ -51,7 +52,7 @@ use latch_proto::transport::{Handler, Server};
 use latch_proto::{error_code, Endpoint, Msg, WireRejected, WireSlo};
 use std::collections::BTreeMap;
 use std::io;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 /// Front-door tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -97,9 +98,6 @@ struct State<S: Storage> {
 
 struct Shared<S: Storage> {
     state: Mutex<State<S>>,
-    /// Set once a `Drained` reply has been written or failed to write.
-    drain_replied: Mutex<bool>,
-    drain_cv: Condvar,
 }
 
 /// A running network front door. Dropping the server (or calling
@@ -133,8 +131,6 @@ impl<S: Storage + Send + 'static> WireServer<S> {
                 replicas: latch_replica::ReplicaStore::new(),
                 max_epoch: 0,
             }),
-            drain_replied: Mutex::new(false),
-            drain_cv: Condvar::new(),
         });
         let server = Server::start(endpoint, cfg.max_window_events, Arc::clone(&shared))?;
         Ok(Self { shared, server })
@@ -160,10 +156,7 @@ impl<S: Storage + Send + 'static> WireServer<S> {
     /// reply has been written to it (or the write failed) — the point
     /// after which a daemon may exit without losing the reply.
     pub fn wait_drained(&self) {
-        let mut replied = self.shared.drain_replied.lock().expect("drain flag");
-        while !*replied {
-            replied = self.shared.drain_cv.wait(replied).expect("drain flag");
-        }
+        self.server.wait_drained();
     }
 
     /// Stops the accept loop, joins it, and returns the storage backend
@@ -262,8 +255,6 @@ struct ConnState {
     /// The router epoch this connection last claimed via `Adopt`.
     /// `None` for direct client connections, which stay unfenced.
     epoch: Option<u64>,
-    /// The replies being written include a `Drained`.
-    drain_reply: bool,
 }
 
 fn wire_reject(conn: u64, reason: &'static str) {
@@ -288,28 +279,20 @@ impl<S: Storage + Send + 'static> Handler for Shared<S> {
             slo_cursor: 0,
             migrations: BTreeMap::new(),
             epoch: None,
-            drain_reply: false,
         }
     }
 
     fn handle(&self, conn: u64, cs: &mut ConnState, msg: Msg) -> Vec<Msg> {
-        // Heartbeats touch no server state, so they are answered
-        // without the lock: a batch parked in a slow fsync must not
-        // make a live node miss its router's heartbeats.
+        // A router's hello touches no server state, so it is answered
+        // without the lock, like the `Ping` heartbeats the transport
+        // answers: a batch parked in a slow fsync must not make a live
+        // node miss its router's heartbeats.
         match msg {
-            Msg::Ping { token } => vec![Msg::Pong { token }],
             Msg::NodeHello { node: _, token } => {
                 latch_obs::counter_inc("serve.wire.node_hellos");
                 vec![Msg::Pong { token }]
             }
             msg => process_msg(msg, conn, cs, self),
-        }
-    }
-
-    fn replied(&self, cs: &mut ConnState, _written: bool) {
-        if std::mem::take(&mut cs.drain_reply) {
-            *self.drain_replied.lock().expect("drain flag") = true;
-            self.drain_cv.notify_all();
         }
     }
 
@@ -417,16 +400,13 @@ fn process_msg<S: Storage>(
                 st.drained = Some(drained_from(&outcome));
             }
             match st.drained.as_ref() {
-                Some(d) => {
-                    cs.drain_reply = true;
-                    replies.push(Msg::Drained {
-                        reports: d
-                            .reports
-                            .iter()
-                            .map(|(&s, (_, bytes))| (s, bytes.clone()))
-                            .collect(),
-                    });
-                }
+                Some(d) => replies.push(Msg::Drained {
+                    reports: d
+                        .reports
+                        .iter()
+                        .map(|(&s, (_, bytes))| (s, bytes.clone()))
+                        .collect(),
+                }),
                 // Only reachable on a killed server: the service was
                 // taken by `kill()` without leaving a drained state.
                 None => replies.push(Msg::Error {
@@ -709,7 +689,8 @@ fn process_msg<S: Storage>(
                 }
             }
         }
-        // Heartbeats are answered in `handle`, before the lock.
+        // The transport answers `Ping`; `handle` answers `NodeHello`
+        // before the lock.
         Msg::Ping { .. } | Msg::NodeHello { .. } => unreachable!("heartbeat reached the lock"),
         // Client-only or duplicate-handshake messages: a protocol
         // violation, answered without killing the connection (the
@@ -738,21 +719,17 @@ fn process_msg<S: Storage>(
             });
         }
     }
-    // Stream any SLO cuts this connection has not seen yet: from the
+    // Stream the SLO cuts this connection has not seen yet: from the
     // live service, or from the final drained stream.
     if cs.want_slo {
-        let push_from = |all: &[WireSlo], cursor: &mut usize, replies: &mut Vec<Msg>| {
-            while *cursor < all.len() {
-                replies.push(Msg::SloPush(all[*cursor]));
-                *cursor += 1;
-            }
-        };
+        let before = replies.len();
         if let Some(svc) = st.svc.as_ref() {
-            let all: Vec<WireSlo> = svc.service().slo_reports().iter().map(wire_slo).collect();
-            push_from(&all, &mut cs.slo_cursor, &mut replies);
+            let unseen = &svc.service().slo_reports()[cs.slo_cursor..];
+            replies.extend(unseen.iter().map(|r| Msg::SloPush(wire_slo(r))));
         } else if let Some(d) = st.drained.as_ref() {
-            push_from(&d.slo, &mut cs.slo_cursor, &mut replies);
+            replies.extend(d.slo[cs.slo_cursor..].iter().copied().map(Msg::SloPush));
         }
+        cs.slo_cursor += replies.len() - before;
     }
     replies
 }

@@ -32,6 +32,19 @@ cargo test -q -p latch-serve --features obs
 echo "==> latch-serve (fixed-seed multi-worker stress, release)"
 cargo test -q --release -p latch-serve stress_eight_workers_fixed_seed
 
+# The committed scaling sweep is in simulated cycles, so regenerating
+# it must reproduce BENCH_serve.json byte for byte; a drift means
+# scheduling or cost accounting changed.
+echo "==> BENCH_serve.json (regenerate and compare)"
+BENCH_TMP="$(mktemp)"
+OUT="$BENCH_TMP" bash scripts/bench_serve.sh
+if ! cmp "$BENCH_TMP" BENCH_serve.json; then
+    rm -f "$BENCH_TMP"
+    echo "tier1: BENCH_serve.json differs from a fresh scripts/bench_serve.sh run" >&2
+    exit 1
+fi
+rm -f "$BENCH_TMP"
+
 # Crash-recovery stress: a fixed-seed kill loop over the real-directory
 # storage backend. Each iteration kills a durable service mid-stream,
 # mangles the surviving files (torn WAL tail, snapshot bit rot),
