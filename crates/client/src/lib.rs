@@ -21,7 +21,7 @@
 use latch_proto::transport::{read_msg, write_msg, Stream};
 use latch_proto::{
     error_code, migrate_chunk, Endpoint, Msg, ProtoError, WireRejected, WireSlo,
-    MAX_FRAME_PAYLOAD, MIGRATE_CHUNK_BYTES, PROTO_VERSION,
+    MIGRATE_CHUNK_BYTES, PROTO_VERSION,
 };
 use latch_sim::event::Event;
 use std::io;
@@ -285,70 +285,29 @@ impl Client {
         }
     }
 
-    /// Ships one session's durable state to this node
-    /// (`MigrateSession`) and returns the events the importer's
-    /// pipeline restored (`MigrateAck.applied`).
-    ///
-    /// A state too large for one frame (blob + WAL suffix past the
-    /// frame cap) is streamed ahead as `MigrateChunk` frames of
-    /// [`MIGRATE_CHUNK_BYTES`] each and committed by a final empty
-    /// `MigrateSession` — so no un-rotated WAL suffix is ever too big
-    /// to fail over.
+    /// Ships one session's full durable state to this node and returns
+    /// the events the importer's pipeline restored
+    /// (`MigrateAck.applied`). This is the only full-state shipper:
+    /// the blob and WAL suffix are staged as `MigrateChunk` frames of
+    /// [`MIGRATE_CHUNK_BYTES`] each (see
+    /// [`migrate_stage`](Self::migrate_stage)), then committed by a
+    /// `MigrateSession` frame (see [`migrate_commit`](Self::migrate_commit)).
+    /// No state is too big to move, and a small one costs up to three
+    /// round trips (one chunk per non-empty buffer, then the commit).
     ///
     /// # Errors
     ///
     /// [`ClientError::Server`] when the node refused the import
-    /// (already resident, bad blob, or draining); transport and
-    /// protocol failures otherwise.
+    /// (already resident, bad blob, staging past its migration byte
+    /// cap, or draining); transport and protocol failures otherwise.
     pub fn migrate_session(
-        &mut self,
-        session: u64,
-        rank: u8,
-        ltse_blob: Vec<u8>,
-        wal_suffix: Vec<u8>,
-    ) -> Result<u64, ClientError> {
-        // Leave headroom for the commit frame's fixed fields.
-        const SINGLE_FRAME_BUDGET: usize = MAX_FRAME_PAYLOAD - 64;
-        if ltse_blob.len() + wal_suffix.len() > SINGLE_FRAME_BUDGET {
-            return self.migrate_session_chunked(
-                session,
-                rank,
-                &ltse_blob,
-                &wal_suffix,
-                MIGRATE_CHUNK_BYTES,
-            );
-        }
-        write_msg(
-            &mut self.conn,
-            &Msg::MigrateSession {
-                session,
-                priority: rank,
-                ltse_blob,
-                wal_suffix,
-            },
-        )?;
-        self.migrate_commit_reply()
-    }
-
-    /// [`migrate_session`](Self::migrate_session) forced down the
-    /// chunked path with an explicit chunk size — every slice of the
-    /// blob and WAL is staged on the importer before an empty commit
-    /// frame lands the migration. Exposed so tests can exercise the
-    /// staging protocol without shipping frame-cap-sized state.
-    ///
-    /// # Errors
-    ///
-    /// As for [`migrate_session`](Self::migrate_session); the importer
-    /// refuses staging past its migration byte cap.
-    pub fn migrate_session_chunked(
         &mut self,
         session: u64,
         rank: u8,
         ltse_blob: &[u8],
         wal_suffix: &[u8],
-        chunk_bytes: usize,
     ) -> Result<u64, ClientError> {
-        self.migrate_stage(session, ltse_blob, wal_suffix, chunk_bytes)?;
+        self.migrate_stage(session, ltse_blob, wal_suffix, MIGRATE_CHUNK_BYTES)?;
         self.migrate_commit(session, rank)
     }
 
@@ -356,7 +315,8 @@ impl Client {
     /// — the live-rebalance pre-copy. The staged buffers accumulate
     /// per-connection until a [`migrate_commit`](Self::migrate_commit)
     /// lands them, so a later call can append just the WAL suffix that
-    /// arrived while the old owner kept serving.
+    /// arrived while the old owner kept serving. `chunk_bytes` is
+    /// clamped to `1..=MIGRATE_CHUNK_BYTES`.
     ///
     /// # Errors
     ///
@@ -394,8 +354,9 @@ impl Client {
     }
 
     /// Commits whatever [`migrate_stage`](Self::migrate_stage) staged
-    /// for `session` with an empty `MigrateSession` frame, returning
-    /// the events the importer's pipeline restored.
+    /// for `session` on this connection with a `MigrateSession` frame
+    /// (nothing staged imports a fresh session), returning the events
+    /// the importer's pipeline restored.
     ///
     /// # Errors
     ///
@@ -406,11 +367,13 @@ impl Client {
             &Msg::MigrateSession {
                 session,
                 priority: rank,
-                ltse_blob: Vec::new(),
-                wal_suffix: Vec::new(),
             },
         )?;
-        self.migrate_commit_reply()
+        match self.next_reply()? {
+            Msg::MigrateAck { applied, .. } => Ok(applied),
+            Msg::Error { code } => Err(ClientError::Server { code }),
+            _ => Err(ClientError::UnexpectedReply("migrate_session")),
+        }
     }
 
     /// Pushes one replication frame to a backup and returns the
@@ -486,14 +449,6 @@ impl Client {
             } => Ok(found.then_some((rank, journaled, blob, wal))),
             Msg::Error { code } => Err(ClientError::Server { code }),
             _ => Err(ClientError::UnexpectedReply("repl_fetch")),
-        }
-    }
-
-    fn migrate_commit_reply(&mut self) -> Result<u64, ClientError> {
-        match self.next_reply()? {
-            Msg::MigrateAck { applied, .. } => Ok(applied),
-            Msg::Error { code } => Err(ClientError::Server { code }),
-            _ => Err(ClientError::UnexpectedReply("migrate_session")),
         }
     }
 

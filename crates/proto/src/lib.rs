@@ -38,8 +38,10 @@ pub mod transport;
 /// rejected at the first frame with [`ProtoError::BadMagic`].
 pub const PROTO_MAGIC: u32 = 0x4C54_5750;
 
-/// Protocol version negotiated by Hello/HelloAck.
-pub const PROTO_VERSION: u32 = 1;
+/// Protocol version negotiated by Hello/HelloAck. Version 2 made
+/// [`Msg::MigrateSession`] a bare commit of chunk-staged state; a
+/// version-1 peer is refused at `Hello` with [`ProtoError::BadVersion`].
+pub const PROTO_VERSION: u32 = 2;
 
 /// Cap on a single frame's payload. Matches the journal's
 /// `WAL_MAX_PAYLOAD` so the wire can never admit a batch the journal
@@ -54,10 +56,9 @@ pub const FRAME_HEADER_LEN: usize = 8;
 /// Used to bound a hostile `Submit` count before decoding.
 pub const MIN_EVENT_LEN: usize = 8;
 
-/// Chunk granularity for oversized session migrations: a migration
-/// whose snapshot blob plus WAL suffix would not fit one frame is
-/// streamed ahead as [`Msg::MigrateChunk`] frames of at most this many
-/// body bytes each, then committed by the final [`Msg::MigrateSession`].
+/// Chunk granularity for session migrations: the snapshot blob and WAL
+/// suffix are streamed as [`Msg::MigrateChunk`] frames of at most this
+/// many body bytes each, then committed by [`Msg::MigrateSession`].
 pub const MIGRATE_CHUNK_BYTES: usize = 1 << 20;
 
 /// Cap on the total bytes an importer stages for one migrating session
@@ -105,6 +106,9 @@ pub mod error_code {
     /// The endpoint is a warm standby that has not taken over yet; the
     /// client should retry against the active router.
     pub const STANDBY: u8 = 4;
+    /// The node could not make the request durable (its fencing epoch
+    /// write failed); nothing changed.
+    pub const STORAGE: u8 = 5;
 }
 
 /// Why a wire decode failed. Every variant is a *detected* problem —
@@ -369,25 +373,17 @@ pub enum Msg {
         /// The token from the `Ping` (or `NodeHello`) being answered.
         token: u64,
     },
-    /// Session failover: ship one session's durable state to its new
-    /// owner. The blob and suffix are exactly the durability layer's
-    /// on-disk artifacts (snapshot-store frame blob, `wal-*` file
-    /// bytes), so the importer replays them with the recovery codecs
-    /// unchanged. A state too large for one frame is streamed ahead as
-    /// [`Msg::MigrateChunk`] frames; this message then commits the
-    /// staged buffers, with its own (typically empty) fields appended
-    /// last.
+    /// Session move commit: import the state this connection staged
+    /// for the session with [`Msg::MigrateChunk`] frames (nothing staged
+    /// imports a fresh session). The staged blob and suffix are exactly
+    /// the durability layer's on-disk artifacts (snapshot-store frame
+    /// blob, `wal-*` file bytes), so the importer replays them with the
+    /// recovery codecs unchanged.
     MigrateSession {
         /// The session being moved.
         session: u64,
         /// The session's sticky admission class rank.
         priority: u8,
-        /// LTSE pipeline snapshot (empty when the session had no
-        /// durable snapshot yet).
-        ltse_blob: Vec<u8>,
-        /// Raw write-ahead journal bytes covering the suffix past the
-        /// snapshot (empty when fully covered).
-        wal_suffix: Vec<u8>,
     },
     /// The importer accepted a migrated session.
     MigrateAck {
@@ -894,18 +890,10 @@ impl Msg {
                 w.u8(TAG_PONG);
                 w.u64(*token);
             }
-            Msg::MigrateSession {
-                session,
-                priority,
-                ltse_blob,
-                wal_suffix,
-            } => {
+            Msg::MigrateSession { session, priority } => {
                 w.u8(TAG_MIGRATE_SESSION);
                 w.u64(*session);
                 w.u8(*priority);
-                w.u32(ltse_blob.len() as u32);
-                w.bytes(ltse_blob);
-                w.bytes(wal_suffix);
             }
             Msg::MigrateAck { session, applied } => {
                 w.u8(TAG_MIGRATE_ACK);
@@ -1151,20 +1139,10 @@ impl Msg {
             },
             TAG_PING => Msg::Ping { token: r.u64()? },
             TAG_PONG => Msg::Pong { token: r.u64()? },
-            TAG_MIGRATE_SESSION => {
-                let session = r.u64()?;
-                let priority = r.rank()?;
-                let n = r.len_prefix()?;
-                let ltse_blob = r.bytes(n)?.to_vec();
-                // The journal bytes run to the end of the payload, so
-                // the cursor is exhausted by construction.
-                return Ok(Msg::MigrateSession {
-                    session,
-                    priority,
-                    ltse_blob,
-                    wal_suffix: r.rest().to_vec(),
-                });
-            }
+            TAG_MIGRATE_SESSION => Msg::MigrateSession {
+                session: r.u64()?,
+                priority: r.rank()?,
+            },
             TAG_MIGRATE_ACK => Msg::MigrateAck {
                 session: r.u64()?,
                 applied: r.u64()?,
@@ -1449,14 +1427,6 @@ mod tests {
             Msg::MigrateSession {
                 session: 6,
                 priority: priority::CRITICAL,
-                ltse_blob: vec![3u8; 96],
-                wal_suffix: vec![5u8; 48],
-            },
-            Msg::MigrateSession {
-                session: 7,
-                priority: priority::NORMAL,
-                ltse_blob: Vec::new(),
-                wal_suffix: Vec::new(),
             },
             Msg::MigrateAck {
                 session: 6,
@@ -1770,8 +1740,6 @@ mod tests {
             Msg::MigrateSession {
                 session: 2,
                 priority: priority::BULK,
-                ltse_blob: vec![6u8; 32],
-                wal_suffix: vec![7u8; 20],
             },
             Msg::AdoptAck {
                 epoch: 2,

@@ -210,20 +210,6 @@ impl ReplicaStore {
     }
 }
 
-/// One planned session move, recorded by the router's rebalance
-/// planner. Deterministic across reruns: the remap set comes from the
-/// seeded ring and is walked in `BTreeMap` order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RebalanceRecord {
-    pub at_tick: u64,
-    pub session: u64,
-    pub from_node: u32,
-    pub to_node: u32,
-    /// Events applied at the cut-point (the importer resumes from
-    /// exactly here).
-    pub applied: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

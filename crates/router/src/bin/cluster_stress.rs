@@ -24,164 +24,26 @@
 //! cluster_stress [--seed S] [--sessions K] [--events E]
 //! ```
 
-use latch_client::{Client, ClientError};
-use latch_faults::{FaultInjector, FaultPlan};
-use latch_proto::Endpoint;
-use latch_router::{Exporter, MigrationRecord, Router, RouterConfig, RouterServer, RouterServerConfig};
-use latch_serve::{
-    export_sessions, DurableConfig, DurableService, MemStorage, ServeConfig, SessionExport,
-    WireConfig, WireServer,
+mod common;
+
+use common::{
+    check_reports, drive_session, exit_on_panic, kill_and_export, kill_injector, kill_round,
+    rank_of, router_config, serve_config, start_node, stream, Args,
 };
-use latch_sim::event::{Event, EventSource};
-use latch_systems::session::SessionPipeline;
-use latch_workloads::all_profiles;
+use latch_client::Client;
+use latch_proto::Endpoint;
+use latch_router::{Exporter, MigrationRecord, Router, RouterServer, RouterServerConfig};
+use latch_serve::{MemStorage, SessionExport, WireServer};
+use latch_sim::event::Event;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-struct Args {
-    seed: u64,
-    sessions: usize,
-    events: u64,
-}
+/// Salt of the seeded kill schedule.
+const KILL_SALT: u64 = 0x00C1;
 
-impl Args {
-    fn parse() -> Self {
-        let mut args = Args {
-            seed: 1,
-            sessions: 6,
-            events: 1_200,
-        };
-        let mut it = std::env::args().skip(1);
-        while let Some(flag) = it.next() {
-            let mut value = || {
-                it.next()
-                    .unwrap_or_else(|| panic!("missing value for {flag}"))
-            };
-            match flag.as_str() {
-                "--seed" => args.seed = value().parse().expect("--seed"),
-                "--sessions" => args.sessions = value().parse().expect("--sessions"),
-                "--events" => args.events = value().parse().expect("--events"),
-                other => panic!("unknown flag {other}"),
-            }
-        }
-        assert!(args.sessions > 0 && args.events > 0);
-        args
-    }
-}
-
-fn stream(profile_idx: usize, seed: u64, n: u64) -> Vec<Event> {
-    let profiles = all_profiles();
-    let mut src = profiles[profile_idx % profiles.len()].stream(seed, n);
-    let mut out = Vec::new();
-    while let Some(ev) = src.next_event() {
-        out.push(ev);
-    }
-    out
-}
-
-fn rank_of(session: usize) -> u8 {
-    (session % 3) as u8
-}
-
-fn serve_config(seed: u64) -> ServeConfig {
-    ServeConfig {
-        workers: 1,
-        queue_events: 512,
-        batch_max: 32,
-        seed,
-        ..ServeConfig::default()
-    }
-}
-
-fn start_node(seed: u64, id: u32) -> WireServer<MemStorage> {
-    let (svc, _recovery) = DurableService::recover(
-        serve_config(seed.wrapping_add(u64::from(id))),
-        DurableConfig::default(),
-        FaultPlan::benign(),
-        MemStorage::new(FaultPlan::benign()),
-    );
-    let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
-    WireServer::start(&endpoint, svc, WireConfig::default()).expect("bind loopback node")
-}
-
-fn router_config(seed: u64) -> RouterConfig {
-    RouterConfig {
-        seed,
-        vnodes: 32,
-        miss_budget: 2,
-        window_events: 256,
-        router_id: seed,
-        ..RouterConfig::default()
-    }
-}
-
-/// The seeded round at which the victim dies (bounded so the threaded
-/// phase's sleep stays short even on a cold seed).
-fn kill_round(seed: u64, victim: u32) -> u64 {
-    let mut inj = FaultInjector::new(FaultPlan::new(seed ^ 0x00C1).with_node_kills(25, 1));
-    (0..200).find(|&r| inj.node_killed_at(victim, r)).unwrap_or(30)
-}
-
-/// Kills a wire server and exports every session from its surviving
-/// storage — the disk a real deployment would re-mount.
-fn kill_and_export(server: WireServer<MemStorage>) -> Vec<SessionExport> {
-    let svc = server.kill().expect("victim was not drained");
-    let mut storage = svc.crash();
-    export_sessions(&mut storage)
-}
-
-/// Drives one session's full stream through the router, retrying
-/// backpressure and the kill window's transient refusals.
-fn drive_session(client: &mut Client, session: u64, events: &[Event]) {
-    const CHUNK: usize = 32;
-    let rank = rank_of(session as usize);
-    let mut pos = 0usize;
-    let mut rounds = 0u64;
-    while pos < events.len() {
-        assert!(rounds < 1_000_000, "cluster drive failed to make progress");
-        rounds += 1;
-        let take = CHUNK.min(events.len() - pos);
-        match client.submit(session, rank, &events[pos..pos + take]) {
-            Ok(()) => pos += take,
-            Err(ClientError::Rejected(_)) => {
-                // Queue-full backpressure, or the victim answering
-                // ShuttingDown in the instant between losing its
-                // service and its sockets closing; either way the
-                // batch was not admitted — retry it.
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) => panic!("session {session}: router connection failed: {e}"),
-        }
-    }
-}
-
-fn check_reports(
-    reports: &BTreeMap<u64, Vec<u8>>,
-    streams: &[Vec<Event>],
-    scrub_interval: u64,
-    what: &str,
-) {
-    assert_eq!(
-        reports.len(),
-        streams.len(),
-        "{what}: expected one report per session"
-    );
-    for (s, events) in streams.iter().enumerate() {
-        let mut solo = SessionPipeline::new(scrub_interval);
-        for ev in events {
-            solo.apply(ev);
-        }
-        let bytes = reports
-            .get(&(s as u64))
-            .unwrap_or_else(|| panic!("{what}: session {s} has no report"));
-        assert_eq!(
-            *bytes,
-            solo.report().encode(),
-            "{what}: session {s} diverged from its solo run after failover"
-        );
-    }
-}
+/// Why a report may diverge, for the check's failure message.
+const CAUSE: &str = "after failover";
 
 /// Phase 1: client threads through a [`RouterServer`], a real mid-
 /// stream node kill, exporter fed by the harness's deposit.
@@ -189,7 +51,7 @@ fn threaded_phase(args: &Args) {
     const NODES: u32 = 3;
     let mut servers: Vec<Option<WireServer<MemStorage>>> =
         (0..NODES).map(|id| Some(start_node(args.seed, id))).collect();
-    let mut router = Router::new(router_config(args.seed));
+    let mut router = Router::new(router_config(args.seed, 0, args.seed));
     for (id, srv) in servers.iter().enumerate() {
         router.add_node(id as u32, srv.as_ref().expect("fresh node").endpoint().clone());
     }
@@ -221,7 +83,7 @@ fn threaded_phase(args: &Args) {
     let endpoint = front.endpoint().clone();
 
     let victim = (args.seed % u64::from(NODES)) as u32;
-    let delay = Duration::from_millis(kill_round(args.seed, victim));
+    let delay = Duration::from_millis(kill_round(args.seed, KILL_SALT, victim));
     let victim_server = servers[victim as usize].take().expect("victim exists");
     let killer_deposits = Arc::clone(&deposits);
     let killer = std::thread::spawn(move || {
@@ -243,7 +105,7 @@ fn threaded_phase(args: &Args) {
             let events = events.clone();
             std::thread::spawn(move || {
                 let mut client = Client::connect(&endpoint, 256, false).expect("connect router");
-                drive_session(&mut client, s as u64, &events);
+                drive_session(&mut client, s as u64, &events, "cluster");
             })
         })
         .collect();
@@ -259,6 +121,7 @@ fn threaded_phase(args: &Args) {
         &streams,
         serve_config(args.seed).scrub_interval,
         "threaded",
+        CAUSE,
     );
     let (history, victim_alive) =
         front.with_router(|r| (r.migration_history().to_vec(), r.is_alive(victim)));
@@ -284,12 +147,12 @@ fn det_run(args: &Args, streams: &[Vec<Event>]) -> (BTreeMap<u64, Vec<u8>>, Vec<
     const CHUNK: usize = 48;
     let mut servers: Vec<Option<WireServer<MemStorage>>> =
         (0..2).map(|id| Some(start_node(args.seed ^ 0xDE7, id))).collect();
-    let mut router = Router::new(router_config(args.seed));
+    let mut router = Router::new(router_config(args.seed, 0, args.seed));
     for (id, srv) in servers.iter().enumerate() {
         router.add_node(id as u32, srv.as_ref().expect("fresh node").endpoint().clone());
     }
     let victim = (args.seed % 2) as u32;
-    let mut inj = FaultInjector::new(FaultPlan::new(args.seed ^ 0x00C1).with_node_kills(25, 1));
+    let mut inj = kill_injector(args.seed, KILL_SALT);
     let kill_now = |servers: &mut Vec<Option<WireServer<MemStorage>>>,
                         router: &mut Router| {
         let exports = kill_and_export(servers[victim as usize].take().expect("victim"));
@@ -326,6 +189,7 @@ fn det_run(args: &Args, streams: &[Vec<Event>]) -> (BTreeMap<u64, Vec<u8>>, Vec<
         streams,
         serve_config(args.seed).scrub_interval,
         "deterministic",
+        CAUSE,
     );
     let history = router.migration_history().to_vec();
     for srv in servers.into_iter().flatten() {
@@ -351,13 +215,13 @@ fn deterministic_phase(args: &Args) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(Args {
+        seed: 1,
+        sessions: 6,
+        events: 1_200,
+    });
     // Unbuffered panics from client threads must fail the process.
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        hook(info);
-        std::process::exit(101);
-    }));
+    exit_on_panic();
     threaded_phase(&args);
     deterministic_phase(&args);
     println!("cluster_stress: ok");

@@ -24,161 +24,25 @@
 //! replica_stress [--seed S] [--sessions K] [--events E]
 //! ```
 
-use latch_client::{Client, ClientError};
-use latch_faults::{FaultInjector, FaultPlan};
+mod common;
+
+use common::{
+    check_reports, drive_session, exit_on_panic, kill_and_destroy, kill_injector, kill_round,
+    rank_of, router_config, serve_config, start_node, stream, Args,
+};
+use latch_client::Client;
 use latch_proto::Endpoint;
-use latch_router::{
-    Exporter, MigrationRecord, RebalanceRecord, Router, RouterConfig, RouterServer,
-    RouterServerConfig,
-};
-use latch_serve::{
-    DurableConfig, DurableService, MemStorage, ServeConfig, WireConfig, WireServer,
-};
-use latch_sim::event::{Event, EventSource};
-use latch_systems::session::SessionPipeline;
-use latch_workloads::all_profiles;
+use latch_router::{Exporter, MigrationRecord, Router, RouterServer, RouterServerConfig};
+use latch_serve::{MemStorage, WireServer};
+use latch_sim::event::Event;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-struct Args {
-    seed: u64,
-    sessions: usize,
-    events: u64,
-}
+/// Salt of the seeded kill schedule.
+const KILL_SALT: u64 = 0x00C2;
 
-impl Args {
-    fn parse() -> Self {
-        let mut args = Args {
-            seed: 1,
-            sessions: 6,
-            events: 1_200,
-        };
-        let mut it = std::env::args().skip(1);
-        while let Some(flag) = it.next() {
-            let mut value = || {
-                it.next()
-                    .unwrap_or_else(|| panic!("missing value for {flag}"))
-            };
-            match flag.as_str() {
-                "--seed" => args.seed = value().parse().expect("--seed"),
-                "--sessions" => args.sessions = value().parse().expect("--sessions"),
-                "--events" => args.events = value().parse().expect("--events"),
-                other => panic!("unknown flag {other}"),
-            }
-        }
-        assert!(args.sessions > 0 && args.events > 0);
-        args
-    }
-}
-
-fn stream(profile_idx: usize, seed: u64, n: u64) -> Vec<Event> {
-    let profiles = all_profiles();
-    let mut src = profiles[profile_idx % profiles.len()].stream(seed, n);
-    let mut out = Vec::new();
-    while let Some(ev) = src.next_event() {
-        out.push(ev);
-    }
-    out
-}
-
-fn rank_of(session: usize) -> u8 {
-    (session % 3) as u8
-}
-
-fn serve_config(seed: u64) -> ServeConfig {
-    ServeConfig {
-        workers: 1,
-        queue_events: 512,
-        batch_max: 32,
-        seed,
-        ..ServeConfig::default()
-    }
-}
-
-fn start_node(seed: u64, id: u32) -> WireServer<MemStorage> {
-    let (svc, _recovery) = DurableService::recover(
-        serve_config(seed.wrapping_add(u64::from(id))),
-        DurableConfig::default(),
-        FaultPlan::benign(),
-        MemStorage::new(FaultPlan::benign()),
-    );
-    let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
-    WireServer::start(&endpoint, svc, WireConfig::default()).expect("bind loopback node")
-}
-
-fn router_config(seed: u64) -> RouterConfig {
-    RouterConfig {
-        seed,
-        vnodes: 32,
-        miss_budget: 2,
-        window_events: 256,
-        router_id: seed,
-        replicas: 2,
-        ..RouterConfig::default()
-    }
-}
-
-/// The seeded round at which the victim dies (bounded so the threaded
-/// phase's sleep stays short even on a cold seed).
-fn kill_round(seed: u64, victim: u32) -> u64 {
-    let mut inj = FaultInjector::new(FaultPlan::new(seed ^ 0x00C2).with_node_kills(25, 1));
-    (0..200).find(|&r| inj.node_killed_at(victim, r)).unwrap_or(30)
-}
-
-/// Kills a wire server and destroys its storage: total machine loss.
-/// Nothing survives for an exporter to re-mount.
-fn kill_and_destroy(server: WireServer<MemStorage>) {
-    let svc = server.kill().expect("victim was not drained");
-    drop(svc.crash());
-}
-
-/// Drives one session's full stream through the router, retrying
-/// backpressure and the kill window's transient refusals.
-fn drive_session(client: &mut Client, session: u64, events: &[Event]) {
-    const CHUNK: usize = 32;
-    let rank = rank_of(session as usize);
-    let mut pos = 0usize;
-    let mut rounds = 0u64;
-    while pos < events.len() {
-        assert!(rounds < 1_000_000, "replica drive failed to make progress");
-        rounds += 1;
-        let take = CHUNK.min(events.len() - pos);
-        match client.submit(session, rank, &events[pos..pos + take]) {
-            Ok(()) => pos += take,
-            Err(ClientError::Rejected(_)) => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) => panic!("session {session}: router connection failed: {e}"),
-        }
-    }
-}
-
-fn check_reports(
-    reports: &BTreeMap<u64, Vec<u8>>,
-    streams: &[Vec<Event>],
-    scrub_interval: u64,
-    what: &str,
-) {
-    assert_eq!(
-        reports.len(),
-        streams.len(),
-        "{what}: expected one report per session"
-    );
-    for (s, events) in streams.iter().enumerate() {
-        let mut solo = SessionPipeline::new(scrub_interval);
-        for ev in events {
-            solo.apply(ev);
-        }
-        let bytes = reports
-            .get(&(s as u64))
-            .unwrap_or_else(|| panic!("{what}: session {s} has no report"));
-        assert_eq!(
-            *bytes,
-            solo.report().encode(),
-            "{what}: session {s} diverged from its solo run after diskless failover"
-        );
-    }
-}
+/// Why a report may diverge, for the check's failure message.
+const CAUSE: &str = "after diskless failover";
 
 /// Phase 1: client threads through a [`RouterServer`], a real mid-
 /// stream node kill with the disk destroyed — the exporter has nothing.
@@ -186,7 +50,7 @@ fn threaded_phase(args: &Args) {
     const NODES: u32 = 3;
     let mut servers: Vec<Option<WireServer<MemStorage>>> =
         (0..NODES).map(|id| Some(start_node(args.seed, id))).collect();
-    let mut router = Router::new(router_config(args.seed));
+    let mut router = Router::new(router_config(args.seed, 2, args.seed));
     for (id, srv) in servers.iter().enumerate() {
         router.add_node(id as u32, srv.as_ref().expect("fresh node").endpoint().clone());
     }
@@ -207,7 +71,7 @@ fn threaded_phase(args: &Args) {
     let endpoint = front.endpoint().clone();
 
     let victim = (args.seed % u64::from(NODES)) as u32;
-    let delay = Duration::from_millis(kill_round(args.seed, victim));
+    let delay = Duration::from_millis(kill_round(args.seed, KILL_SALT, victim));
     let victim_server = servers[victim as usize].take().expect("victim exists");
     let killer = std::thread::spawn(move || {
         std::thread::sleep(delay);
@@ -225,7 +89,7 @@ fn threaded_phase(args: &Args) {
             let events = events.clone();
             std::thread::spawn(move || {
                 let mut client = Client::connect(&endpoint, 256, false).expect("connect router");
-                drive_session(&mut client, s as u64, &events);
+                drive_session(&mut client, s as u64, &events, "replica");
             })
         })
         .collect();
@@ -242,6 +106,7 @@ fn threaded_phase(args: &Args) {
         &streams,
         serve_config(args.seed).scrub_interval,
         "threaded",
+        CAUSE,
     );
     let (history, lost, victim_alive) = front.with_router(|r| {
         (
@@ -279,18 +144,18 @@ fn det_run(
 ) -> (
     BTreeMap<u64, Vec<u8>>,
     Vec<MigrationRecord>,
-    Vec<RebalanceRecord>,
+    Vec<MigrationRecord>,
 ) {
     const CHUNK: usize = 48;
     let mut servers: Vec<Option<WireServer<MemStorage>>> = (0..3)
         .map(|id| Some(start_node(args.seed ^ 0xDE7, id)))
         .collect();
-    let mut router = Router::new(router_config(args.seed));
+    let mut router = Router::new(router_config(args.seed, 2, args.seed));
     for (id, srv) in servers.iter().enumerate() {
         router.add_node(id as u32, srv.as_ref().expect("fresh node").endpoint().clone());
     }
     let victim = (args.seed % 3) as u32;
-    let mut inj = FaultInjector::new(FaultPlan::new(args.seed ^ 0x00C2).with_node_kills(25, 1));
+    let mut inj = kill_injector(args.seed, KILL_SALT);
     let kill_now = |servers: &mut Vec<Option<WireServer<MemStorage>>>,
                         router: &mut Router| {
         kill_and_destroy(servers[victim as usize].take().expect("victim"));
@@ -354,6 +219,7 @@ fn det_run(
         streams,
         serve_config(args.seed).scrub_interval,
         "deterministic",
+        CAUSE,
     );
     let history = router.migration_history().to_vec();
     let rebalances = router.rebalance_history().to_vec();
@@ -385,13 +251,13 @@ fn deterministic_phase(args: &Args) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(Args {
+        seed: 1,
+        sessions: 6,
+        events: 1_200,
+    });
     // Unbuffered panics from client threads must fail the process.
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        hook(info);
-        std::process::exit(101);
-    }));
+    exit_on_panic();
     threaded_phase(&args);
     deterministic_phase(&args);
     println!("replica_stress: ok");

@@ -25,132 +25,25 @@
 //! router_ha_stress [--seed S] [--sessions K] [--events E]
 //! ```
 
+mod common;
+
+use common::{
+    check_reports, exit_on_panic, kill_and_destroy, rank_of, router_config, serve_config,
+    start_node, stream, Args,
+};
 use latch_client::{ClientError, HaClient};
-use latch_faults::FaultPlan;
 use latch_proto::Endpoint;
 use latch_router::{
-    Exporter, MigrationRecord, Router, RouterConfig, RouterError, RouterServer,
-    RouterServerConfig, TakeoverRecord,
+    Exporter, MigrationRecord, Router, RouterError, RouterServer, RouterServerConfig,
+    TakeoverRecord,
 };
-use latch_serve::{
-    DurableConfig, DurableService, MemStorage, ServeConfig, WireConfig, WireServer,
-};
-use latch_sim::event::{Event, EventSource};
-use latch_systems::session::SessionPipeline;
-use latch_workloads::all_profiles;
+use latch_serve::{MemStorage, WireServer};
+use latch_sim::event::Event;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
-struct Args {
-    seed: u64,
-    sessions: usize,
-    events: u64,
-}
-
-impl Args {
-    fn parse() -> Self {
-        let mut args = Args {
-            seed: 1,
-            sessions: 6,
-            events: 1_000,
-        };
-        let mut it = std::env::args().skip(1);
-        while let Some(flag) = it.next() {
-            let mut value = || {
-                it.next()
-                    .unwrap_or_else(|| panic!("missing value for {flag}"))
-            };
-            match flag.as_str() {
-                "--seed" => args.seed = value().parse().expect("--seed"),
-                "--sessions" => args.sessions = value().parse().expect("--sessions"),
-                "--events" => args.events = value().parse().expect("--events"),
-                other => panic!("unknown flag {other}"),
-            }
-        }
-        assert!(args.sessions > 0 && args.events > 0);
-        args
-    }
-}
-
-fn stream(profile_idx: usize, seed: u64, n: u64) -> Vec<Event> {
-    let profiles = all_profiles();
-    let mut src = profiles[profile_idx % profiles.len()].stream(seed, n);
-    let mut out = Vec::new();
-    while let Some(ev) = src.next_event() {
-        out.push(ev);
-    }
-    out
-}
-
-fn rank_of(session: usize) -> u8 {
-    (session % 3) as u8
-}
-
-fn serve_config(seed: u64) -> ServeConfig {
-    ServeConfig {
-        workers: 1,
-        queue_events: 512,
-        batch_max: 32,
-        seed,
-        ..ServeConfig::default()
-    }
-}
-
-fn start_node(seed: u64, id: u32) -> WireServer<MemStorage> {
-    let (svc, _recovery) = DurableService::recover(
-        serve_config(seed.wrapping_add(u64::from(id))),
-        DurableConfig::default(),
-        FaultPlan::benign(),
-        MemStorage::new(FaultPlan::benign()),
-    );
-    let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
-    WireServer::start(&endpoint, svc, WireConfig::default()).expect("bind loopback node")
-}
-
-fn router_config(seed: u64, router_id: u64) -> RouterConfig {
-    RouterConfig {
-        seed,
-        vnodes: 32,
-        miss_budget: 2,
-        window_events: 256,
-        router_id,
-        replicas: 2,
-        ..RouterConfig::default()
-    }
-}
-
-/// Kills a wire server and destroys its storage: total machine loss.
-fn kill_and_destroy(server: WireServer<MemStorage>) {
-    let svc = server.kill().expect("victim was not drained");
-    drop(svc.crash());
-}
-
-fn check_reports(
-    reports: &BTreeMap<u64, Vec<u8>>,
-    streams: &[Vec<Event>],
-    scrub_interval: u64,
-    what: &str,
-) {
-    assert_eq!(
-        reports.len(),
-        streams.len(),
-        "{what}: expected one report per session"
-    );
-    for (s, events) in streams.iter().enumerate() {
-        let mut solo = SessionPipeline::new(scrub_interval);
-        for ev in events {
-            solo.apply(ev);
-        }
-        let bytes = reports
-            .get(&(s as u64))
-            .unwrap_or_else(|| panic!("{what}: session {s} has no report"));
-        assert_eq!(
-            *bytes,
-            solo.report().encode(),
-            "{what}: session {s} diverged from its solo run across the takeover"
-        );
-    }
-}
+/// Why a report may diverge, for the check's failure message.
+const CAUSE: &str = "across the takeover";
 
 /// Phase 1: [`HaClient`] threads against a primary + standby pair; a
 /// harness thread kills the primary router mid-stream (odd seeds take
@@ -160,8 +53,8 @@ fn threaded_phase(args: &Args) {
     const NODES: u32 = 3;
     let mut servers: Vec<Option<WireServer<MemStorage>>> =
         (0..NODES).map(|id| Some(start_node(args.seed, id))).collect();
-    let mut primary_router = Router::new(router_config(args.seed, 7));
-    let mut standby_router = Router::new(router_config(args.seed, 8));
+    let mut primary_router = Router::new(router_config(args.seed, 2, 7));
+    let mut standby_router = Router::new(router_config(args.seed, 2, 8));
     for (id, srv) in servers.iter().enumerate() {
         let ep = srv.as_ref().expect("fresh node").endpoint().clone();
         primary_router.add_node(id as u32, ep.clone());
@@ -253,6 +146,7 @@ fn threaded_phase(args: &Args) {
         &streams,
         serve_config(args.seed).scrub_interval,
         "threaded",
+        CAUSE,
     );
     let (lost, takeovers) =
         standby.with_router(|r| (r.lost_sessions(), r.takeover_history().to_vec()));
@@ -287,8 +181,8 @@ fn det_run(
     let mut servers: Vec<Option<WireServer<MemStorage>>> = (0..3)
         .map(|id| Some(start_node(args.seed ^ 0xDE7, id)))
         .collect();
-    let mut old = Router::new(router_config(args.seed, 7));
-    let mut new = Router::new(router_config(args.seed, 8));
+    let mut old = Router::new(router_config(args.seed, 2, 7));
+    let mut new = Router::new(router_config(args.seed, 2, 8));
     for (id, srv) in servers.iter().enumerate() {
         let ep = srv.as_ref().expect("fresh node").endpoint().clone();
         old.add_node(id as u32, ep.clone());
@@ -349,6 +243,7 @@ fn det_run(
         streams,
         serve_config(args.seed).scrub_interval,
         "deterministic",
+        CAUSE,
     );
     let history = new.migration_history().to_vec();
     for srv in servers.into_iter().flatten() {
@@ -377,13 +272,13 @@ fn deterministic_phase(args: &Args) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(Args {
+        seed: 1,
+        sessions: 6,
+        events: 1_000,
+    });
     // Unbuffered panics from client threads must fail the process.
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        hook(info);
-        std::process::exit(101);
-    }));
+    exit_on_panic();
     threaded_phase(&args);
     deterministic_phase(&args);
     println!("router_ha_stress: ok");

@@ -16,12 +16,21 @@
 //! declares the node down. The sessions it owned move via
 //! [`Router::fail_over`]: their durable state is read from the dead
 //! node's surviving storage ([`latch_serve::export_sessions`]), shipped
-//! to the new ring owner as a `MigrateSession` frame (LTSE snapshot +
-//! raw WAL suffix, the PR 5 codecs unchanged), and imported there with
-//! the recovery scan. Because recovery restores an *exact prefix* of
-//! the admitted stream, a migrated session's drained report is
-//! byte-identical to a solo pipeline run — the oracle
+//! to the new ring owner (LTSE snapshot + raw WAL suffix staged as
+//! `MigrateChunk` frames, committed by `MigrateSession`), and imported
+//! there with the recovery scan. Because recovery restores an *exact
+//! prefix* of the admitted stream, a migrated session's drained report
+//! is byte-identical to a solo pipeline run — the oracle
 //! `tests/failover.rs` and conformance leg 10 enforce.
+//!
+//! **One move path.** Failover, a standby's takeover of orphaned
+//! sessions, and planned rebalance all move a session with the same
+//! steps: one backup probe picks the freshest replica journal, one
+//! ship stages and commits the state on the new owner and re-roots the
+//! session's replication stream, and one settle re-points the route and
+//! poisons it with [`RouterError::AckedLost`] if the import restored
+//! less than this router acked. Every move lands as a
+//! [`MigrationRecord`].
 
 use latch_client::{Client, ClientError};
 use latch_obs::TraceEvent;
@@ -45,7 +54,6 @@ const REPL_FRAME_BUDGET: usize = MAX_FRAME_PAYLOAD - 64;
 mod ring;
 pub mod server;
 
-pub use latch_replica::RebalanceRecord;
 pub use ring::Ring;
 pub use server::{Exporter, RouterServer, RouterServerConfig};
 
@@ -178,20 +186,24 @@ impl std::fmt::Display for RouterError {
 
 impl std::error::Error for RouterError {}
 
-/// One completed session migration, in failover order. Reruns of the
-/// same seed and kill schedule produce an identical vector — the
-/// conformance leg diffs it byte-for-byte.
+/// One completed session move: a failover or takeover restore (in
+/// [`Router::migration_history`]) or a planned rebalance move (in
+/// [`Router::rebalance_history`]), in the order the moves ran. Reruns
+/// of the same seed and kill or membership schedule produce identical
+/// vectors — the conformance legs diff them byte-for-byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationRecord {
-    /// The router's heartbeat tick when the failover ran.
+    /// The router's heartbeat tick when the move ran.
     pub at_tick: u64,
     /// The session that moved.
     pub session: u64,
-    /// The node it left (dead or draining).
+    /// The node it left (dead, draining or leaving), or for a takeover
+    /// restore the backup whose journal it was restored from.
     pub from_node: u32,
     /// The node that imported it.
     pub to_node: u32,
-    /// Events the importer's pipeline restored.
+    /// Events the importer's pipeline restored — for a rebalance, the
+    /// cut-point the importer resumes from.
     pub applied: u64,
 }
 
@@ -265,21 +277,6 @@ impl ReplSession {
         }
     }
 
-    /// Stream re-rooted at an imported export (failover or rebalance):
-    /// the fetched state becomes the new base, treated as one opaque
-    /// record span, and every backup reseeds from scratch.
-    fn from_state(rank: u8, blob: Vec<u8>, wal: Vec<u8>, journaled: u64) -> Self {
-        let len = wal.len();
-        Self {
-            rank,
-            blob,
-            wal,
-            journaled,
-            marks: vec![(len, journaled)],
-            backups: BTreeMap::new(),
-        }
-    }
-
     /// Events covered at byte offset `off`: the journaled count of the
     /// last record boundary at-or-before it (0 before any boundary).
     fn journaled_at(&self, off: usize) -> u64 {
@@ -309,6 +306,22 @@ struct Route {
     lost: Option<u64>,
 }
 
+impl Route {
+    fn new(owner: u32, admitted: u64) -> Self {
+        Self {
+            owner,
+            admitted,
+            in_doubt: 0,
+            skip: 0,
+            lost: None,
+        }
+    }
+}
+
+/// The freshest journal a backup probe found:
+/// `(journaled, source node, rank, blob, wal)`.
+type Probed = (u64, u32, u8, Vec<u8>, Vec<u8>);
+
 /// The deterministic routing core. [`RouterServer`] puts it on a
 /// socket; tests and the conformance leg drive it directly.
 pub struct Router {
@@ -317,7 +330,7 @@ pub struct Router {
     nodes: BTreeMap<u32, Node>,
     routes: BTreeMap<u64, Route>,
     history: Vec<MigrationRecord>,
-    rebalances: Vec<RebalanceRecord>,
+    rebalances: Vec<MigrationRecord>,
     /// Per-session replication source streams (empty unless
     /// [`RouterConfig::replicas`] > 0).
     repl: BTreeMap<u64, ReplSession>,
@@ -420,7 +433,7 @@ impl Router {
     /// Reruns of the same seed, membership changes, and submission
     /// schedule produce an identical vector.
     #[must_use]
-    pub fn rebalance_history(&self) -> &[RebalanceRecord] {
+    pub fn rebalance_history(&self) -> &[MigrationRecord] {
         &self.rebalances
     }
 
@@ -546,16 +559,7 @@ impl Router {
             Some(r) => r.owner,
             None => {
                 let owner = self.ring.owner(session).ok_or(RouterError::NoNodes)?;
-                self.routes.insert(
-                    session,
-                    Route {
-                        owner,
-                        admitted: 0,
-                        in_doubt: 0,
-                        skip: 0,
-                        lost: None,
-                    },
-                );
+                self.routes.insert(session, Route::new(owner, 0));
                 latch_obs::counter_inc("router.ring.places");
                 latch_obs::emit("router", TraceEvent::RingPlace { session, node: owner });
                 owner
@@ -858,8 +862,8 @@ impl Router {
     }
 
     /// Fails a dead (or draining) node's sessions over: removes its
-    /// ring points, ships each exported session to its new owner via
-    /// `MigrateSession`, and re-pins the routes. Exports come from the
+    /// ring points, ships each exported session to its new owner, and
+    /// re-pins the routes. Exports come from the
     /// node's surviving storage ([`latch_serve::export_sessions`]) —
     /// or from [`latch_serve::DurableService::export_session`] for a
     /// planned drain of a live node. Returns this failover's migration
@@ -940,64 +944,15 @@ impl Router {
             }
             let to = self.ring.owner(session).ok_or(RouterError::NoNodes)?;
             let rank = export.priority.rank();
-            let applied = if self.cfg.replicas > 0 {
-                let applied = self
-                    .node_conn(to)?
-                    .migrate_session(session, rank, export.blob.clone(), export.wal.clone())
-                    .map_err(RouterError::Wire)?;
-                // The imported state is the session's new replication
-                // base; every backup reseeds against it lazily on the
-                // next admitted batch.
-                self.repl.insert(
-                    session,
-                    ReplSession::from_state(rank, export.blob, export.wal, applied),
-                );
-                applied
-            } else {
-                self.node_conn(to)?
-                    .migrate_session(session, rank, export.blob, export.wal)
-                    .map_err(RouterError::Wire)?
-            };
-            let route = self.routes.entry(session).or_insert(Route {
-                owner: to,
-                admitted: 0,
-                in_doubt: 0,
-                skip: 0,
-                lost: None,
-            });
-            route.owner = to;
-            if route.in_doubt > 0 && applied >= route.admitted + route.in_doubt {
-                // The in-doubt batch landed before the node died; the
-                // caller's retry of it must be swallowed, not re-applied.
-                route.admitted += route.in_doubt;
-                route.skip = route.in_doubt;
-            }
-            route.in_doubt = 0;
-            if applied < route.admitted && route.lost.is_none() {
-                // The importer restored fewer events than this router
-                // acked: the dead owner's group commit was lost. The
-                // session can never again match its solo oracle —
-                // poison it (submits and reports answer AckedLost)
-                // instead of silently retrying the last batch on top
-                // of a shorter prefix.
-                route.lost = Some(applied);
-                latch_obs::counter_inc("router.failover.acked_lost");
-                latch_obs::emit(
-                    "router",
-                    TraceEvent::AckedLost {
-                        session,
-                        acked: route.admitted,
-                        applied,
-                    },
-                );
-            }
+            let applied = self.ship(to, session, rank, &export.blob, &export.wal)?;
+            self.settle(session, to, applied);
             records.push(self.record_migration(session, node, to, applied));
         }
         // Sessions routed to the dead node that left no durable files
         // (nothing was ever admitted): re-pin them; their retries
         // replay from zero on the new owner. A session we had *acked*
         // events for that left no files is acked loss, same as a short
-        // import — poison it rather than replaying a diverged stream.
+        // import, and the settle poisons it.
         let orphans: Vec<u64> = self
             .routes
             .iter()
@@ -1006,24 +961,82 @@ impl Router {
             .collect();
         for session in orphans {
             let to = self.ring.owner(session).ok_or(RouterError::NoNodes)?;
-            let route = self.routes.get_mut(&session).expect("orphan route exists");
-            route.owner = to;
-            route.in_doubt = 0;
-            if route.admitted > 0 && route.lost.is_none() {
-                route.lost = Some(0);
-                latch_obs::counter_inc("router.failover.acked_lost");
-                latch_obs::emit(
-                    "router",
-                    TraceEvent::AckedLost {
-                        session,
-                        acked: route.admitted,
-                        applied: 0,
-                    },
-                );
-            }
+            self.settle(session, to, 0);
             records.push(self.record_migration(session, node, to, 0));
         }
         Ok(records)
+    }
+
+    /// Ships a session's full state to `to` (staged in chunks, then
+    /// committed — [`Client::migrate_session`]) and, with replication
+    /// on, re-roots the session's replication stream at it. Returns the
+    /// events the importer restored.
+    fn ship(
+        &mut self,
+        to: u32,
+        session: u64,
+        rank: u8,
+        blob: &[u8],
+        wal: &[u8],
+    ) -> Result<u64, RouterError> {
+        let applied = self
+            .node_conn(to)?
+            .migrate_session(session, rank, blob, wal)
+            .map_err(wire_error)?;
+        self.reroot(session, rank, blob, wal, applied);
+        Ok(applied)
+    }
+
+    /// With replication on, re-roots the session's replication stream
+    /// at `(blob, wal)` covering `journaled` events: the state becomes
+    /// the new base, treated as one opaque record span, and every
+    /// backup reseeds against it lazily on the next admitted batch.
+    fn reroot(&mut self, session: u64, rank: u8, blob: &[u8], wal: &[u8], journaled: u64) {
+        if self.cfg.replicas > 0 {
+            let rs = ReplSession {
+                rank,
+                blob: blob.to_vec(),
+                wal: wal.to_vec(),
+                journaled,
+                marks: vec![(wal.len(), journaled)],
+                backups: BTreeMap::new(),
+            };
+            self.repl.insert(session, rs);
+        }
+    }
+
+    /// Points a moved session's route at `to` and settles it against
+    /// the `applied` count the importer restored. An in-doubt batch
+    /// (the old owner died between our write and its ack) that the
+    /// import contains is counted as admitted, and the caller's retry
+    /// of it is swallowed rather than applied twice. An import shorter
+    /// than the acked prefix is acked loss: the session can never again
+    /// match its solo oracle, so it is poisoned (submits and reports
+    /// answer [`RouterError::AckedLost`]) instead of silently serving a
+    /// diverged stream.
+    fn settle(&mut self, session: u64, to: u32, applied: u64) {
+        let route = self
+            .routes
+            .entry(session)
+            .or_insert_with(|| Route::new(to, 0));
+        route.owner = to;
+        if route.in_doubt > 0 && applied >= route.admitted + route.in_doubt {
+            route.admitted += route.in_doubt;
+            route.skip = route.in_doubt;
+        }
+        route.in_doubt = 0;
+        if applied < route.admitted && route.lost.is_none() {
+            route.lost = Some(applied);
+            latch_obs::counter_inc("router.failover.acked_lost");
+            latch_obs::emit(
+                "router",
+                TraceEvent::AckedLost {
+                    session,
+                    acked: route.admitted,
+                    applied,
+                },
+            );
+        }
     }
 
     /// Diskless failover source: for every session still pinned to the
@@ -1058,11 +1071,8 @@ impl Router {
             let Some(rs) = self.repl.get(&session) else {
                 continue;
             };
-            let local_journaled = rs.journaled;
-            // Walk candidates freshest-acked-cursor first (ties break
-            // on the higher node id) so reruns probe identically; the
-            // fetched `journaled` count, not the cursor, decides.
-            // Cursorless group members probe last, at cursor zero.
+            // Acked-cursor backups first; cursorless group members
+            // probe last, at cursor zero.
             let mut candidates: Vec<(u64, u32)> = rs
                 .backups
                 .iter()
@@ -1077,71 +1087,77 @@ impl Router {
                 .filter(|&b| b != node && self.is_alive(b) && !with_cursor.contains(&b))
                 .collect();
             candidates.extend(cursorless.into_iter().map(|b| (0, b)));
-            candidates.sort_unstable();
-            candidates.reverse();
-            // (journaled, source node, rank, blob, wal) of the winner.
-            type Candidate = (u64, u32, u8, Vec<u8>, Vec<u8>);
-            let mut best: Option<Candidate> = None;
-            for (_, b) in candidates {
-                let fetched = match self.node_conn(b) {
-                    Ok(conn) => conn.repl_fetch(session, false),
-                    Err(_) => continue,
-                };
-                match fetched {
-                    Ok(Some((rank, journaled, blob, wal))) => {
-                        if best.as_ref().is_none_or(|(j, ..)| journaled > *j) {
-                            best = Some((journaled, b, rank, blob, wal));
-                        }
-                    }
-                    Ok(None) => {}
-                    // A typed refusal (say, a journal grown past the
-                    // single-frame budget) comes from a healthy node:
-                    // skip the candidate without evicting it, or every
-                    // restore probe of a long-lived session would
-                    // cascade its backups into failover.
-                    Err(ClientError::Server { .. }) => {
-                        latch_obs::counter_inc("router.repl.fetch_refusals");
-                    }
-                    Err(_) => self.mark_down(b, 0),
+            let best = self.probe_backups(session, candidates);
+            let rs = &self.repl[&session];
+            let (rank, blob, wal) = match best {
+                Some((journaled, b, rank, blob, wal)) if journaled >= rs.journaled => {
+                    latch_obs::counter_inc("router.repl.restores");
+                    latch_obs::emit(
+                        "router",
+                        TraceEvent::ReplRestore {
+                            session,
+                            node: b,
+                            journaled,
+                        },
+                    );
+                    (rank, blob, wal)
                 }
-            }
-            if best.as_ref().is_none_or(|(j, ..)| *j < local_journaled) {
-                let rs = self.repl.get(&session).expect("repl stream checked above");
-                latch_obs::counter_inc("router.repl.local_restores");
-                latch_obs::emit(
-                    "router",
-                    TraceEvent::ReplLocalRestore {
-                        session,
-                        journaled: rs.journaled,
-                    },
-                );
-                out.push(SessionExport {
-                    session,
-                    priority: Priority::from_rank(rs.rank).unwrap_or_default(),
-                    blob: rs.blob.clone(),
-                    wal: rs.wal.clone(),
-                });
-                continue;
-            }
-            if let Some((journaled, b, rank, blob, wal)) = best {
-                latch_obs::counter_inc("router.repl.restores");
-                latch_obs::emit(
-                    "router",
-                    TraceEvent::ReplRestore {
-                        session,
-                        node: b,
-                        journaled,
-                    },
-                );
-                out.push(SessionExport {
-                    session,
-                    priority: Priority::from_rank(rank).unwrap_or_default(),
-                    blob,
-                    wal,
-                });
-            }
+                _ => {
+                    latch_obs::counter_inc("router.repl.local_restores");
+                    latch_obs::emit(
+                        "router",
+                        TraceEvent::ReplLocalRestore {
+                            session,
+                            journaled: rs.journaled,
+                        },
+                    );
+                    (rs.rank, rs.blob.clone(), rs.wal.clone())
+                }
+            };
+            out.push(SessionExport {
+                session,
+                priority: Priority::from_rank(rank).unwrap_or_default(),
+                blob,
+                wal,
+            });
         }
         out
+    }
+
+    /// Fetches `session`'s journal from each `(cursor, node)` candidate
+    /// (backups, or a takeover's one surviving owner) and keeps the
+    /// freshest. Candidates are walked freshest cursor first, ties to
+    /// the higher node id, so reruns probe identically; the fetched
+    /// `journaled` count, not the cursor, decides, and the earlier
+    /// candidate wins a tie. Probes never expel, so a losing candidate
+    /// keeps its copy.
+    fn probe_backups(&mut self, session: u64, mut candidates: Vec<(u64, u32)>) -> Option<Probed> {
+        candidates.sort_unstable_by(|a, b| b.cmp(a));
+        let mut best: Option<Probed> = None;
+        for (_, b) in candidates {
+            let fetched = match self.node_conn(b) {
+                Ok(conn) => conn.repl_fetch(session, false),
+                Err(_) => continue,
+            };
+            match fetched {
+                Ok(Some((rank, journaled, blob, wal))) => {
+                    if best.as_ref().is_none_or(|(j, ..)| journaled > *j) {
+                        best = Some((journaled, b, rank, blob, wal));
+                    }
+                }
+                Ok(None) => {}
+                // A typed refusal (say, a journal grown past the
+                // single-frame budget) comes from a healthy node:
+                // skip the candidate without evicting it, or every
+                // restore probe of a long-lived session would cascade
+                // its backups into failover.
+                Err(ClientError::Server { .. }) => {
+                    latch_obs::counter_inc("router.repl.fetch_refusals");
+                }
+                Err(_) => self.mark_down(b, 0),
+            }
+        }
+        best
     }
 
     fn record_migration(
@@ -1196,9 +1212,9 @@ impl Router {
     ///    every backup through the normal reset/NACK machinery.
     /// 4. **Dead-owner failover.** Sessions that exist only in
     ///    surviving replica journals (owner died *with* the old router)
-    ///    are restored freshest-journal-first — the same ordering as
-    ///    [`restore_from_backups`](Self::restore_from_backups) — and
-    ///    migrated to their ring owner.
+    ///    are restored from the freshest journal — the same backup
+    ///    probe as [`restore_from_backups`](Self::restore_from_backups)
+    ///    — and shipped to their ring owner.
     ///
     /// The returned [`TakeoverRecord`] is rerun-identical for a given
     /// cluster state and is also appended to
@@ -1274,16 +1290,7 @@ impl Router {
                 if stale {
                     continue;
                 }
-                self.routes.insert(
-                    session,
-                    Route {
-                        owner: node,
-                        admitted: applied,
-                        in_doubt: 0,
-                        skip: 0,
-                        lost: None,
-                    },
-                );
+                self.routes.insert(session, Route::new(node, applied));
             }
         }
         let adopted: Vec<u32> = surveys.keys().copied().collect();
@@ -1293,22 +1300,10 @@ impl Router {
             let routed: Vec<(u64, u32)> =
                 self.routes.iter().map(|(&s, r)| (s, r.owner)).collect();
             for (session, owner) in routed {
-                let fetched = match self.node_conn(owner) {
-                    Ok(conn) => conn.repl_fetch(session, false),
-                    Err(_) => continue,
-                };
-                match fetched {
-                    Ok(Some((rank, journaled, blob, wal))) => {
-                        self.repl.insert(
-                            session,
-                            ReplSession::from_state(rank, blob, wal, journaled),
-                        );
-                    }
-                    Ok(None) => {}
-                    Err(ClientError::Server { .. }) => {
-                        latch_obs::counter_inc("router.repl.fetch_refusals");
-                    }
-                    Err(_) => self.mark_down(owner, 0),
+                if let Some((journaled, _, rank, blob, wal)) =
+                    self.probe_backups(session, vec![(0, owner)])
+                {
+                    self.reroot(session, rank, &blob, &wal, journaled);
                 }
             }
             // Sessions alive only in surviving replica journals: their
@@ -1329,52 +1324,13 @@ impl Router {
                     }
                 }
             }
-            for (session, mut cands) in candidates {
-                // Freshest journaled cursor first, ties to the higher
-                // node id — the `restore_from_backups` probe order, so
-                // reruns pick identically. The fetched count decides.
-                cands.sort_unstable();
-                cands.reverse();
-                type Candidate = (u64, u32, u8, Vec<u8>, Vec<u8>);
-                let mut best: Option<Candidate> = None;
-                for (_, b) in cands {
-                    let fetched = match self.node_conn(b) {
-                        Ok(conn) => conn.repl_fetch(session, false),
-                        Err(_) => continue,
-                    };
-                    match fetched {
-                        Ok(Some((rank, journaled, blob, wal))) => {
-                            if best.as_ref().is_none_or(|(j, ..)| journaled > *j) {
-                                best = Some((journaled, b, rank, blob, wal));
-                            }
-                        }
-                        Ok(None) => {}
-                        Err(ClientError::Server { .. }) => {
-                            latch_obs::counter_inc("router.repl.fetch_refusals");
-                        }
-                        Err(_) => self.mark_down(b, 0),
-                    }
-                }
-                let Some((_, src, rank, blob, wal)) = best else {
+            for (session, cands) in candidates {
+                let Some((_, src, rank, blob, wal)) = self.probe_backups(session, cands) else {
                     continue;
                 };
                 let to = self.ring.owner(session).ok_or(RouterError::NoNodes)?;
-                let applied = self
-                    .node_conn(to)?
-                    .migrate_session(session, rank, blob.clone(), wal.clone())
-                    .map_err(RouterError::Wire)?;
-                self.repl
-                    .insert(session, ReplSession::from_state(rank, blob, wal, applied));
-                self.routes.insert(
-                    session,
-                    Route {
-                        owner: to,
-                        admitted: applied,
-                        in_doubt: 0,
-                        skip: 0,
-                        lost: None,
-                    },
-                );
+                let applied = self.ship(to, session, rank, &blob, &wal)?;
+                self.routes.insert(session, Route::new(to, applied));
                 self.record_migration(session, src, to, applied);
                 orphans.push(session);
             }
@@ -1424,7 +1380,7 @@ impl Router {
         &mut self,
         node: u32,
         endpoint: Endpoint,
-    ) -> Result<Vec<RebalanceRecord>, RouterError> {
+    ) -> Result<Vec<MigrationRecord>, RouterError> {
         match self.nodes.get_mut(&node) {
             Some(n) => {
                 n.endpoint = endpoint;
@@ -1473,7 +1429,7 @@ impl Router {
     /// failover, not a rebalance); [`RouterError::NoNodes`] when it is
     /// the last ring member (the ring is restored untouched). Partial
     /// failures leave moved sessions moved; a retry resumes the rest.
-    pub fn rebalance_leave(&mut self, node: u32) -> Result<Vec<RebalanceRecord>, RouterError> {
+    pub fn rebalance_leave(&mut self, node: u32) -> Result<Vec<MigrationRecord>, RouterError> {
         if !self.is_alive(node) {
             return Err(RouterError::NodeDown { node });
         }
@@ -1508,33 +1464,29 @@ impl Router {
     ///    new owner as `MigrateChunk` frames.
     /// 2. **Cut-point** — the old owner exports-and-expels the session
     ///    atomically (every later submit there is refused), only the
-    ///    WAL bytes grown since phase 1 are staged as a suffix, and an
-    ///    empty `MigrateSession` commits the import. The router's state
-    ///    lock sequences the cut against every concurrent submit, so no
+    ///    WAL bytes grown since phase 1 are staged as a suffix, and a
+    ///    `MigrateSession` commits the import. The router's state lock
+    ///    sequences the cut against every concurrent submit, so no
     ///    batch lands between the expel and the route flip: no
     ///    double-apply, no lost suffix, no client-visible gap.
     ///
     /// The owner's maintenance may rotate its journal between the
     /// phases (every pump runs it), invalidating the staged prefix;
     /// a RESTART chunk discards the staging on the same connection and
-    /// the full cut state is restaged inline (a fresh connection is
-    /// only torn up if the inline restage dies in transport).
-    fn rebalance_one(&mut self, session: u64) -> Result<RebalanceRecord, RouterError> {
+    /// the full cut state is shipped inline (a fresh connection is only
+    /// torn up if the inline ship dies in transport).
+    fn rebalance_one(&mut self, session: u64) -> Result<MigrationRecord, RouterError> {
         let from = self
             .routes
             .get(&session)
             .map(|r| r.owner)
             .ok_or(RouterError::NoNodes)?;
         let to = self.ring.owner(session).ok_or(RouterError::NoNodes)?;
-        let wire = |e: ClientError| match e {
-            ClientError::Rejected(r) => RouterError::Rejected(r),
-            other => RouterError::Wire(other),
-        };
         // Phase 1: pre-copy while the old owner keeps serving.
         let (pre_blob, pre_wal) = match self
             .node_conn(from)?
             .repl_fetch(session, false)
-            .map_err(wire)?
+            .map_err(wire_error)?
         {
             Some((_, _, blob, wal)) => (blob, wal),
             None => (Vec::new(), Vec::new()),
@@ -1542,13 +1494,13 @@ impl Router {
         if !pre_blob.is_empty() || !pre_wal.is_empty() {
             self.node_conn(to)?
                 .migrate_stage(session, &pre_blob, &pre_wal, MIGRATE_CHUNK_BYTES)
-                .map_err(wire)?;
+                .map_err(wire_error)?;
         }
         // Phase 2: the cut.
         let cut = self
             .node_conn(from)?
             .repl_fetch(session, true)
-            .map_err(wire)?;
+            .map_err(wire_error)?;
         let applied = match cut {
             // Nothing durable and nothing resident: a route with zero
             // admitted events just re-pins (phase 1 staged nothing).
@@ -1557,68 +1509,45 @@ impl Router {
                 let clean_suffix = blob == pre_blob
                     && wal.len() >= pre_wal.len()
                     && wal[..pre_wal.len()] == pre_wal[..];
-                let applied = if clean_suffix {
+                if clean_suffix {
                     let conn = self.node_conn(to)?;
                     conn.migrate_stage(session, &[], &wal[pre_wal.len()..], MIGRATE_CHUNK_BYTES)
-                        .map_err(wire)?;
-                    conn.migrate_commit(session, rank).map_err(wire)?
+                        .map_err(wire_error)?;
+                    let applied = conn.migrate_commit(session, rank).map_err(wire_error)?;
+                    self.reroot(session, rank, &blob, &wal, applied);
+                    applied
                 } else {
                     // Rotation between the phases: the staged bytes are
                     // a stale prefix. A RESTART chunk discards them on
                     // the same connection, so the full cut state can be
-                    // restaged without tearing the link down.
+                    // shipped without tearing the link down.
                     latch_obs::counter_inc("router.rebalance.restage_inline");
-                    let inline = {
-                        let conn = self.node_conn(to)?;
-                        conn.migrate_abort(session).and_then(|()| {
-                            conn.migrate_stage(session, &blob, &wal, MIGRATE_CHUNK_BYTES)?;
-                            conn.migrate_commit(session, rank)
-                        })
-                    };
+                    let inline = self
+                        .node_conn(to)?
+                        .migrate_abort(session)
+                        .map_err(wire_error)
+                        .and_then(|()| self.ship(to, session, rank, &blob, &wal));
                     match inline {
                         Ok(applied) => applied,
-                        Err(ClientError::Rejected(r)) => return Err(RouterError::Rejected(r)),
-                        Err(_) => {
-                            // Transport death mid-restage: fall back to
-                            // the old full-restage-over-fresh-connection
-                            // path.
+                        Err(RouterError::Wire(_)) => {
+                            // Transport death mid-restage: ship again
+                            // over a fresh connection.
                             latch_obs::counter_inc("router.rebalance.restages");
                             if let Some(n) = self.nodes.get_mut(&to) {
                                 n.conn = None;
                             }
-                            let conn = self.node_conn(to)?;
-                            conn.migrate_stage(session, &blob, &wal, MIGRATE_CHUNK_BYTES)
-                                .map_err(wire)?;
-                            conn.migrate_commit(session, rank).map_err(wire)?
+                            self.ship(to, session, rank, &blob, &wal)?
                         }
+                        Err(e) => return Err(e),
                     }
-                };
-                if self.cfg.replicas > 0 {
-                    self.repl
-                        .insert(session, ReplSession::from_state(rank, blob, wal, applied));
                 }
-                applied
             }
         };
-        let route = self.routes.get_mut(&session).expect("moving route exists");
-        route.owner = to;
-        route.in_doubt = 0;
-        if applied < route.admitted && route.lost.is_none() {
-            // A planned move should never lose acked state; if it does
-            // (a cut shorter than the acked prefix), poison exactly as
-            // a failover would rather than serving a diverged stream.
-            route.lost = Some(applied);
-            latch_obs::counter_inc("router.failover.acked_lost");
-            latch_obs::emit(
-                "router",
-                TraceEvent::AckedLost {
-                    session,
-                    acked: route.admitted,
-                    applied,
-                },
-            );
-        }
-        let rec = RebalanceRecord {
+        // A planned move should never lose acked state; if it does (a
+        // cut shorter than the acked prefix), the settle poisons it
+        // exactly as a failover would.
+        self.settle(session, to, applied);
+        let rec = MigrationRecord {
             at_tick: self.ticks,
             session,
             from_node: from,
@@ -1717,11 +1646,15 @@ impl Router {
             });
         }
         let owner = route.owner;
-        self.node_conn(owner)?
-            .report(session)
-            .map_err(|e| match e {
-                ClientError::Rejected(r) => RouterError::Rejected(r),
-                other => RouterError::Wire(other),
-            })
+        self.node_conn(owner)?.report(session).map_err(wire_error)
+    }
+}
+
+/// A node's answer to a router command: a typed refusal passes through,
+/// anything else is a wire failure.
+fn wire_error(e: ClientError) -> RouterError {
+    match e {
+        ClientError::Rejected(r) => RouterError::Rejected(r),
+        other => RouterError::Wire(other),
     }
 }

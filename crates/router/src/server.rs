@@ -90,6 +90,17 @@ fn exports_for(st: &mut Inner, node: u32) -> Vec<SessionExport> {
     exports
 }
 
+impl Inner {
+    /// Fails a dead node over with its cached (or freshly produced)
+    /// export, dropping the cache entry once the failover succeeds.
+    fn fail_over(&mut self, node: u32) -> Result<(), RouterError> {
+        let exports = exports_for(self, node);
+        self.router.fail_over(node, exports)?;
+        self.export_cache.remove(&node);
+        Ok(())
+    }
+}
+
 struct Shared {
     state: Mutex<Inner>,
     /// False while a standby waits for its takeover: client-facing
@@ -314,8 +325,7 @@ fn heartbeat_loop(shared: &Arc<Shared>, stop: &AtomicBool) {
         std::thread::sleep(shared.cfg.heartbeat);
         let mut st = shared.state.lock().expect("router state");
         for node in st.router.tick() {
-            let exports = exports_for(&mut st, node);
-            if st.router.fail_over(node, exports).is_err() {
+            if st.fail_over(node).is_err() {
                 // The router recorded the stall (a `failover_stall`
                 // trace event plus the `router.failover.stalls`
                 // counter) and keeps the unmigrated sessions pinned;
@@ -324,8 +334,6 @@ fn heartbeat_loop(shared: &Arc<Shared>, stop: &AtomicBool) {
                 // every session is re-pinned. Submits answer NodeDown
                 // in the meantime.
                 latch_obs::counter_inc("router.heartbeat.failover_retries");
-            } else {
-                st.export_cache.remove(&node);
             }
         }
     }
@@ -374,11 +382,7 @@ fn submit_with_failover(
     for attempt in 0..2 {
         match st.router.submit(session, rank, events) {
             Ok(()) => return Ok(()),
-            Err(RouterError::NodeDown { node }) if attempt == 0 => {
-                let exports = exports_for(st, node);
-                st.router.fail_over(node, exports)?;
-                st.export_cache.remove(&node);
-            }
+            Err(RouterError::NodeDown { node }) if attempt == 0 => st.fail_over(node)?,
             Err(e) => return Err(e),
         }
     }
@@ -462,11 +466,9 @@ fn process_msg(msg: Msg, conn_id: u64, cs: &mut ConnState, shared: &Shared) -> V
                         if failovers < shared.cfg.drain_failover_retries =>
                     {
                         failovers += 1;
-                        let exports = exports_for(&mut st, node);
-                        if st.router.fail_over(node, exports).is_err() {
+                        if st.fail_over(node).is_err() {
                             break;
                         }
-                        st.export_cache.remove(&node);
                     }
                     Err(RouterError::StaleRouter { epoch }) => {
                         latch_obs::counter_inc("router.wire.fenced");

@@ -339,8 +339,8 @@ fn drained_node_still_accepts_migrations() {
         .migrate_session(
             export.session,
             export.priority.rank(),
-            export.blob,
-            export.wal,
+            &export.blob,
+            &export.wal,
         )
         .expect("migrate into a drained node");
     assert_eq!(applied, events.len() as u64);
@@ -485,9 +485,10 @@ fn short_import_poisons_the_session_as_acked_lost() {
     node_b.shutdown();
 }
 
-/// The chunked migration path is byte-equivalent to the single-frame
-/// path: every staged slice lands, the commit applies the combined
-/// state, and the migrated session reports identically to a solo run.
+/// Chunk size does not change what a migration imports: staging the
+/// state in 100-byte chunks and staging it in default-size chunks
+/// (`migrate_session`) both restore every event and report identically
+/// to a solo run.
 #[test]
 fn chunked_migration_is_byte_equivalent() {
     let victim = start_node(0);
@@ -499,23 +500,27 @@ fn chunked_migration_is_byte_equivalent() {
         .into_iter()
         .next()
         .expect("one export");
-    let importer = start_node(1);
-    let mut ic = Client::connect(importer.endpoint(), 1024, false).expect("connect importer");
-    let applied = ic
-        .migrate_session_chunked(
-            export.session,
-            export.priority.rank(),
-            &export.blob,
-            &export.wal,
-            100,
-        )
-        .expect("chunked migrate");
+    let rank = export.priority.rank();
+    let small = start_node(1);
+    let mut sc = Client::connect(small.endpoint(), 1024, false).expect("connect importer");
+    sc.migrate_stage(export.session, &export.blob, &export.wal, 100)
+        .expect("stage in small chunks");
+    let applied = sc.migrate_commit(export.session, rank).expect("commit");
     assert_eq!(applied, events.len() as u64);
-    assert_eq!(ic.drain().expect("drain importer").len(), 1);
-    let (got_applied, bytes) = ic.report(11).expect("report");
-    assert_eq!(got_applied, events.len() as u64);
-    assert_eq!(bytes, solo_report(&events));
-    importer.shutdown();
+    let default = start_node(2);
+    let mut dc = Client::connect(default.endpoint(), 1024, false).expect("connect importer");
+    let applied = dc
+        .migrate_session(export.session, rank, &export.blob, &export.wal)
+        .expect("default-chunk migrate");
+    assert_eq!(applied, events.len() as u64);
+    for ic in [&mut sc, &mut dc] {
+        assert_eq!(ic.drain().expect("drain importer").len(), 1);
+        let (got_applied, bytes) = ic.report(11).expect("report");
+        assert_eq!(got_applied, events.len() as u64);
+        assert_eq!(bytes, solo_report(&events));
+    }
+    small.shutdown();
+    default.shutdown();
 }
 
 /// A session whose WAL suffix exceeds the frame cap still migrates:
@@ -542,7 +547,7 @@ fn oversized_wal_suffix_still_migrates() {
     let importer = start_node(1);
     let mut ic = Client::connect(importer.endpoint(), 1024, false).expect("connect importer");
     let applied = ic
-        .migrate_session(export.session, export.priority.rank(), export.blob, export.wal)
+        .migrate_session(export.session, export.priority.rank(), &export.blob, &export.wal)
         .expect("oversized state must still migrate");
     assert_eq!(applied, events.len() as u64);
     assert_eq!(ic.drain().expect("drain importer").len(), 1);

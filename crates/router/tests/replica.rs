@@ -13,14 +13,14 @@
 //! - **Drain-free rebalancing** — a planned join or leave migrates
 //!   exactly the remap set at a sequenced cut-point while the old
 //!   owners keep serving, with zero client-visible stream
-//!   interruption, and the [`RebalanceRecord`] history reruns
+//!   interruption, and the [`MigrationRecord`] rebalance history reruns
 //!   byte-identically.
 
 use latch_client::{Client, ClientError};
 use latch_faults::FaultPlan;
 use latch_proto::Endpoint;
 use latch_router::{
-    Exporter, RebalanceRecord, Router, RouterConfig, RouterServer, RouterServerConfig,
+    Exporter, MigrationRecord, Router, RouterConfig, RouterServer, RouterServerConfig,
 };
 use latch_serve::{DurableConfig, DurableService, MemStorage, ServeConfig, WireConfig, WireServer};
 use latch_sim::event::{Event, EventSource};
@@ -548,7 +548,7 @@ fn rebalance_under_live_clients_never_interrupts_a_stream() {
 }
 
 /// The same membership schedule replayed against a fresh cluster
-/// produces a byte-identical [`RebalanceRecord`] history and identical
+/// produces a byte-identical [`MigrationRecord`] rebalance history and identical
 /// reports — rebalancing is deterministic in (seed, membership
 /// changes, submission schedule).
 #[test]
@@ -559,7 +559,7 @@ fn rebalance_history_is_rerun_identical() {
     let streams: Vec<Vec<Event>> = (0..SESSIONS)
         .map(|s| stream(s, SEED.wrapping_add(s as u64), EVENTS))
         .collect();
-    let run = || -> (Vec<RebalanceRecord>, BTreeMap<u64, Vec<u8>>) {
+    let run = || -> (Vec<MigrationRecord>, BTreeMap<u64, Vec<u8>>) {
         let mut servers: Vec<Option<WireServer<MemStorage>>> =
             (0..2).map(|id| Some(start_node(id))).collect();
         let mut router = Router::new(router_config(1));

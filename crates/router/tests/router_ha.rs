@@ -309,6 +309,43 @@ fn revived_stale_router_is_fenced_and_applies_nothing() {
     }
 }
 
+/// The fence survives a node restart: a node adopted at epoch 5 is
+/// killed and recovered on the same storage, and a router at epoch 3
+/// is still refused with `StaleRouter` and applies nothing.
+#[test]
+fn fencing_epoch_survives_a_node_restart() {
+    let node = start_node(0);
+    let mut newer = Client::connect(node.endpoint(), 256, false).expect("connect node");
+    newer.adopt(5, 9).expect("adopt at epoch 5");
+    drop(newer);
+    let disk = node.kill().expect("undrained").crash();
+    let (svc, recovery) = DurableService::recover(
+        serve_config(SEED),
+        DurableConfig::default(),
+        FaultPlan::benign(),
+        disk,
+    );
+    assert!(recovery.quarantined.is_empty(), "{:?}", recovery.quarantined);
+    let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
+    let node = WireServer::start(&endpoint, svc, WireConfig::default()).expect("restart node");
+    let mut zombie = Router::new(RouterConfig {
+        epoch: 3,
+        ..router_config(0, 7)
+    });
+    zombie.add_node(0, node.endpoint().clone());
+    let events = stream(0, SEED ^ 0xE90C, 32);
+    match zombie.submit(1, 0, &events) {
+        Err(RouterError::StaleRouter { epoch }) => assert_eq!(epoch, 5),
+        other => panic!("a restarted node forgot its fence: {other:?}"),
+    }
+    let mut probe = Client::connect(node.endpoint(), 256, false).expect("connect node");
+    assert!(
+        probe.drain().expect("drain").is_empty(),
+        "the fenced router applied nothing"
+    );
+    node.shutdown();
+}
+
 /// Takeover is deterministic: the same (seed, schedule, kill point) —
 /// including a node that died *with* the old router, forcing the
 /// standby to fail its sessions over from surviving replica journals —

@@ -21,6 +21,12 @@
 //!   an *exact prefix* of the submitted stream: re-submitting the
 //!   un-recovered suffix yields reports byte-identical to a run that
 //!   never crashed.
+//! * **Fencing epoch** — the highest router epoch that adopted this
+//!   node lives in a node-level `node-epoch` file (a node with no
+//!   sessions has no journal header to hold it), written with the
+//!   same atomic replace + fsync before the adoption is acked, and
+//!   read back by recovery — so a restarted node still refuses a
+//!   zombie router it had fenced.
 //!
 //! The durability contract deliberately acknowledges bounded loss:
 //! events journaled but never covered by a successful fsync may
@@ -34,6 +40,7 @@ use crate::overload::Priority;
 use crate::storage::Storage;
 use crate::store;
 use crate::{Rejected, ServeConfig, Service, ServiceOutcome};
+use latch_core::snapshot::crc32;
 use latch_faults::FaultPlan;
 use latch_obs::TraceEvent;
 use latch_sim::event::Event;
@@ -174,6 +181,42 @@ pub struct RecoveryReport {
     pub quarantined: Vec<QuarantinedFrame>,
 }
 
+/// The node-level file holding the fencing epoch.
+const EPOCH_FILE: &str = "node-epoch";
+/// `"LTEP"`: the epoch file's magic.
+const EPOCH_MAGIC: u32 = 0x4C54_4550;
+
+/// Makes `epoch` the durable fencing epoch: `magic | epoch | crc32`,
+/// atomically replaced and fsynced. `false` when either step failed —
+/// the caller must not ack an epoch a restart could forget.
+pub(crate) fn persist_epoch<S: Storage>(storage: &mut S, epoch: u64) -> bool {
+    let mut bytes = Vec::with_capacity(16);
+    bytes.extend_from_slice(&EPOCH_MAGIC.to_le_bytes());
+    bytes.extend_from_slice(&epoch.to_le_bytes());
+    let crc = crc32(&bytes);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    storage.write_atomic(EPOCH_FILE, &bytes) && storage.fsync()
+}
+
+/// Reads the durable fencing epoch back: 0 when no router ever adopted
+/// the node, a typed error for a torn or corrupt file.
+fn read_epoch<S: Storage>(storage: &mut S) -> Result<u64, RecoveryError> {
+    let Some(bytes) = storage.read(EPOCH_FILE) else {
+        return Ok(0);
+    };
+    if bytes.len() < 16 {
+        return Err(RecoveryError::ShortHeader);
+    }
+    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+    if bytes.len() != 16 || word(0) != EPOCH_MAGIC {
+        return Err(RecoveryError::BadHeader);
+    }
+    if crc32(&bytes[..12]) != word(12) {
+        return Err(RecoveryError::BadFrameCrc);
+    }
+    Ok(u64::from_le_bytes(bytes[4..12].try_into().expect("8 bytes")))
+}
+
 /// A [`Service`] whose sessions survive process death. See the module
 /// docs for the design.
 pub struct DurableService<S: Storage> {
@@ -194,6 +237,9 @@ pub struct DurableService<S: Storage> {
     /// their history continues on the importer, and a second report
     /// here would double-count it at a cluster drain.
     expelled: std::collections::BTreeSet<u64>,
+    /// The durable fencing epoch: the highest router epoch persisted by
+    /// [`persist_fencing_epoch`](Self::persist_fencing_epoch).
+    fencing_epoch: u64,
 }
 
 impl<S: Storage> DurableService<S> {
@@ -209,6 +255,7 @@ impl<S: Storage> DurableService<S> {
             dirty_files: 0,
             scrub_interval: cfg.scrub_interval,
             expelled: std::collections::BTreeSet::new(),
+            fencing_epoch: 0,
         }
     }
 
@@ -567,6 +614,17 @@ impl<S: Storage> DurableService<S> {
             sessions.insert(session, state);
         }
         storage.fsync();
+        // A torn or corrupt epoch file is quarantined like any frame;
+        // the node then starts unfenced, exactly as before any adopt.
+        let fencing_epoch = read_epoch(&mut storage).unwrap_or_else(|error| {
+            latch_obs::counter_inc("serve.recovery.quarantined");
+            report.quarantined.push(QuarantinedFrame {
+                file: EPOCH_FILE.to_string(),
+                offset: 0,
+                error,
+            });
+            0
+        });
         let durable = Self {
             svc,
             storage,
@@ -576,8 +634,27 @@ impl<S: Storage> DurableService<S> {
             dirty_files: 0,
             scrub_interval: cfg.scrub_interval,
             expelled: std::collections::BTreeSet::new(),
+            fencing_epoch,
         };
         (durable, report)
+    }
+
+    /// The durable fencing epoch: the highest router epoch this node
+    /// persisted (0 when no router ever adopted it).
+    #[must_use]
+    pub fn fencing_epoch(&self) -> u64 {
+        self.fencing_epoch
+    }
+
+    /// Persists `epoch` as the fencing epoch before it is acked — see
+    /// the module docs. `false` (nothing changed in memory) when the
+    /// write or its fsync failed.
+    pub fn persist_fencing_epoch(&mut self, epoch: u64) -> bool {
+        let ok = persist_epoch(&mut self.storage, epoch);
+        if ok {
+            self.fencing_epoch = epoch;
+        }
+        ok
     }
 
     /// The scrub interval every session pipeline here runs with —

@@ -89,11 +89,24 @@ struct State<S: Storage> {
     /// Backup journals for sessions this node replicates but does not
     /// own, fed by `ReplFrame` and served back by `ReplFetch`.
     replicas: latch_replica::ReplicaStore,
-    /// Highest router epoch ever adopted on this node. Commands from a
-    /// connection whose adopted epoch has since been superseded are
-    /// refused with a typed `StaleRouter` — the fencing that stops a
-    /// zombie primary from double-applying after takeover.
+    /// Highest router epoch ever adopted on this node, persisted before
+    /// it is acked and recovered on restart. Commands from a connection
+    /// whose adopted epoch has since been superseded are refused with a
+    /// typed `StaleRouter` — the fencing that stops a zombie primary
+    /// from double-applying after takeover.
     max_epoch: u64,
+}
+
+impl<S: Storage> State<S> {
+    /// Persists a raised fencing epoch through the service or, after a
+    /// drain, the storage it handed back.
+    fn persist_epoch(&mut self, epoch: u64) -> bool {
+        match (self.svc.as_mut(), self.storage.as_mut()) {
+            (Some(svc), _) => svc.persist_fencing_epoch(epoch),
+            (None, Some(storage)) => crate::durable::persist_epoch(storage, epoch),
+            (None, None) => false,
+        }
+    }
 }
 
 struct Shared<S: Storage> {
@@ -122,6 +135,7 @@ impl<S: Storage + Send + 'static> WireServer<S> {
         cfg: WireConfig,
     ) -> io::Result<Self> {
         let scrub_interval = svc.scrub_interval();
+        let max_epoch = svc.fencing_epoch();
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 svc: Some(svc),
@@ -129,7 +143,7 @@ impl<S: Storage + Send + 'static> WireServer<S> {
                 storage: None,
                 scrub_interval,
                 replicas: latch_replica::ReplicaStore::new(),
-                max_epoch: 0,
+                max_epoch,
             }),
         });
         let server = Server::start(endpoint, cfg.max_window_events, Arc::clone(&shared))?;
@@ -250,7 +264,7 @@ struct ConnState {
     admitted: u64,
     slo_cursor: usize,
     /// Session → (LTSE blob, WAL suffix) staged by `MigrateChunk`
-    /// frames, consumed by the committing `MigrateSession`.
+    /// frames, imported by the committing `MigrateSession`.
     migrations: BTreeMap<u64, (Vec<u8>, Vec<u8>)>,
     /// The router epoch this connection last claimed via `Adopt`.
     /// `None` for direct client connections, which stay unfenced.
@@ -430,7 +444,14 @@ fn process_msg<S: Storage>(
             },
         },
         Msg::Adopt { epoch, router: _ } => {
-            if epoch >= st.max_epoch {
+            if epoch > st.max_epoch && !st.persist_epoch(epoch) {
+                // A fence a restart would forget is no fence: refuse the
+                // adoption rather than ack it.
+                wire_reject(conn_id, "epoch_not_durable");
+                replies.push(Msg::Error {
+                    code: error_code::STORAGE,
+                });
+            } else if epoch >= st.max_epoch {
                 st.max_epoch = epoch;
                 cs.epoch = Some(epoch);
                 latch_obs::counter_inc("serve.wire.adoptions");
@@ -515,22 +536,10 @@ fn process_msg<S: Storage>(
                 replies.push(Msg::MigrateChunkAck { session, received });
             }
         }
-        Msg::MigrateSession {
-            session,
-            priority,
-            ltse_blob,
-            wal_suffix,
-        } => {
-            // Commit any chunk-staged buffers, with this frame's own
-            // bytes (empty on the chunked path) appended last.
-            let (ltse_blob, wal_suffix) = match cs.migrations.remove(&session) {
-                Some((mut blob, mut wal)) => {
-                    blob.extend_from_slice(&ltse_blob);
-                    wal.extend_from_slice(&wal_suffix);
-                    (blob, wal)
-                }
-                None => (ltse_blob, wal_suffix),
-            };
+        Msg::MigrateSession { session, priority } => {
+            // Commit whatever this connection staged for the session;
+            // nothing staged imports a fresh session.
+            let (ltse_blob, wal_suffix) = cs.migrations.remove(&session).unwrap_or_default();
             let priority = Priority::from_rank(priority).unwrap_or_default();
             let scrub_interval = st.scrub_interval;
             let imported = match st.svc.as_mut() {

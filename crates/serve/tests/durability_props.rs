@@ -10,7 +10,7 @@
 
 use latch_faults::FaultPlan;
 use latch_serve::{
-    DurableConfig, DurableService, MemStorage, Priority, Rejected, ServeConfig, Slo,
+    DurableConfig, DurableService, MemStorage, Priority, Rejected, ServeConfig, Slo, Storage,
 };
 use latch_sim::event::{Event, EventSource};
 use latch_systems::session::SessionPipeline;
@@ -335,5 +335,44 @@ fn clean_shutdown_then_recovery_restores_everything() {
             solo(evs, cfg.scrub_interval),
             "session {s} diverged after clean recovery"
         );
+    }
+}
+
+/// The fencing epoch round-trips through recovery, and a torn or
+/// corrupt epoch file is quarantined (never a panic): recovery then
+/// starts unfenced, at epoch 0, with every session intact.
+#[test]
+fn fencing_epoch_recovers_and_a_bad_epoch_file_is_quarantined() {
+    let cfg = ServeConfig::default();
+    let dcfg = DurableConfig::default();
+    let plan = FaultPlan::benign();
+    let mut svc = DurableService::new(cfg, dcfg, plan, MemStorage::new(plan));
+    let evs = stream(&all_profiles()[0], 7, 200);
+    svc.submit(4, &evs).unwrap();
+    assert!(svc.persist_fencing_epoch(5));
+    let (_, storage) = svc.finish();
+    let (svc, report) = DurableService::recover(cfg, dcfg, plan, storage);
+    assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
+    assert_eq!(svc.fencing_epoch(), 5);
+    let good = svc.crash();
+    type Damage = fn(&mut Vec<u8>);
+    let damages: [(&str, Damage); 6] = [
+        ("empty", Vec::clear),
+        ("torn", |b| b.truncate(7)),
+        ("bad magic", |b| b[0] ^= 0x01),
+        ("bit rot in the epoch", |b| b[6] ^= 0x40),
+        ("bit rot in the checksum", |b| b[15] ^= 0x01),
+        ("trailing byte", |b| b.push(0)),
+    ];
+    for (what, damage) in damages {
+        let mut storage = good.crash_image(good.ops_len());
+        let mut bytes = storage.read("node-epoch").expect("epoch file written");
+        damage(&mut bytes);
+        assert!(storage.write_atomic("node-epoch", &bytes));
+        let (svc, report) = DurableService::recover(cfg, dcfg, plan, storage);
+        assert_eq!(svc.fencing_epoch(), 0, "{what}: recovery starts unfenced");
+        assert_eq!(report.quarantined.len(), 1, "{what}");
+        assert_eq!(report.quarantined[0].file, "node-epoch");
+        assert_eq!(report.sessions[&4].recovered, 200, "{what}");
     }
 }

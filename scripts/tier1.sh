@@ -20,6 +20,11 @@ cargo test -q
 echo "==> cargo test -q (obs on)"
 cargo test -q --workspace --features "$OBS_FEATURES"
 
+# `cargo test -q` runs only the root package, so the wire and cluster
+# crates are tested explicitly in their shipping (obs off) configuration.
+echo "==> latch-proto, latch-client, latch-router, latch-replica (obs off)"
+cargo test -q -p latch-proto -p latch-client -p latch-router -p latch-replica
+
 # The serving layer is exercised explicitly in both observability
 # configurations, plus the fixed-seed eight-worker stress test
 # (deterministic engine, eviction pressure, worker kills) in release mode.
