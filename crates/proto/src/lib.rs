@@ -27,8 +27,8 @@
 //! per-connection server loop — lives in [`transport`].
 
 use latch_core::snapshot::{crc32, SnapWriter};
-use latch_sim::event::{Event, EventSource};
-use latch_sim::trace::{TraceReader, TraceWriter};
+use latch_sim::event::Event;
+use latch_sim::trace::{decode_counted, TraceWriter};
 use std::fmt;
 
 pub mod transport;
@@ -54,7 +54,7 @@ pub const FRAME_HEADER_LEN: usize = 8;
 
 /// Smallest possible encoding of one trace event (pc + flags + regs).
 /// Used to bound a hostile `Submit` count before decoding.
-pub const MIN_EVENT_LEN: usize = 8;
+pub const MIN_EVENT_LEN: usize = latch_sim::trace::MIN_EVENT_LEN;
 
 /// Chunk granularity for session migrations: the snapshot blob and WAL
 /// suffix are streamed as [`Msg::MigrateChunk`] frames of at most this
@@ -724,28 +724,6 @@ impl<'a> Rd<'a> {
     }
 }
 
-fn decode_events(count: u32, trace: &[u8]) -> Result<Vec<Event>, ProtoError> {
-    // Bound the declared count by the smallest event encoding before
-    // decoding: a hostile count cannot force work (or capacity) past
-    // what the frame's own bytes could possibly hold.
-    if u64::from(count).saturating_mul(MIN_EVENT_LEN as u64) > trace.len() as u64 {
-        return Err(ProtoError::BadEvents);
-    }
-    let mut reader = TraceReader::new(bytes::Bytes::from(trace.to_vec()))
-        .map_err(|_| ProtoError::BadEvents)?;
-    let mut events = Vec::with_capacity(count as usize);
-    while events.len() < count as usize {
-        match reader.next_event() {
-            Some(ev) => events.push(ev),
-            None => return Err(ProtoError::BadEvents),
-        }
-    }
-    if reader.next_event().is_some() || reader.error().is_some() {
-        return Err(ProtoError::BadEvents);
-    }
-    Ok(events)
-}
-
 impl Msg {
     /// Encodes just the payload (`tag | body`), unframed.
     ///
@@ -1057,8 +1035,9 @@ impl Msg {
             TAG_SUBMIT => {
                 let session = r.u64()?;
                 let priority = r.rank()?;
-                let count = r.u32()?;
-                let events = decode_events(count, r.rest())?;
+                let count = r.u32()? as usize;
+                // Bounded by the bytes present before anything decodes.
+                let events = decode_counted(count, r.rest()).ok_or(ProtoError::BadEvents)?;
                 return Ok(Msg::Submit {
                     session,
                     priority,
@@ -1633,7 +1612,8 @@ mod tests {
 
     #[test]
     fn submit_preserves_every_event_field() {
-        use latch_sim::trace::record_all;
+        use latch_sim::event::EventSource;
+        use latch_sim::trace::{record_all, TraceReader};
         // Reuse the trace codec's richest sample shapes through the
         // wire: encode via trace, decode via Submit.
         let events = {

@@ -12,11 +12,12 @@
 //! crash_stress [--seed S] [--iters N] [--sessions K] [--events E] [--dir PATH]
 //! ```
 
+mod common;
+
+use common::{mix, solo, stream};
 use latch_faults::FaultPlan;
 use latch_serve::{DirStorage, DurableConfig, DurableService, Rejected, ServeConfig};
-use latch_sim::event::{Event, EventSource};
-use latch_systems::session::SessionPipeline;
-use latch_workloads::all_profiles;
+use latch_sim::event::Event;
 use std::path::{Path, PathBuf};
 
 struct Args {
@@ -54,32 +55,6 @@ impl Args {
         assert!(args.iters > 0 && args.sessions > 0 && args.events > 0);
         args
     }
-}
-
-/// SplitMix64 — the one deterministic entropy source in this binary.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-fn stream(profile_idx: usize, seed: u64, n: u64) -> Vec<Event> {
-    let profiles = all_profiles();
-    let mut src = profiles[profile_idx % profiles.len()].stream(seed, n);
-    let mut out = Vec::new();
-    while let Some(ev) = src.next_event() {
-        out.push(ev);
-    }
-    out
-}
-
-fn solo(evs: &[Event], scrub_interval: u64) -> Vec<u8> {
-    let mut pipe = SessionPipeline::new(scrub_interval);
-    for ev in evs {
-        pipe.apply(ev);
-    }
-    pipe.report().encode()
 }
 
 /// Submit rounds `[0, stop_round)` of every stream, pumping between.

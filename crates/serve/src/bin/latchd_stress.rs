@@ -22,15 +22,16 @@
 //! latchd_stress [--seed S] [--sessions K] [--events E]
 //! ```
 
+mod common;
+
+use common::{solo, stream};
 use latch_faults::{FaultInjector, FaultPlan};
 use latch_proto::transport::{read_msg, write_msg, Stream};
 use latch_proto::{Endpoint, Msg, WireRejected, WireSlo};
 use latch_serve::{
     DurableConfig, DurableService, MemStorage, ServeConfig, Slo, WireConfig, WireServer,
 };
-use latch_sim::event::{Event, EventSource};
-use latch_systems::session::SessionPipeline;
-use latch_workloads::all_profiles;
+use latch_sim::event::Event;
 use std::collections::BTreeMap;
 
 struct Args {
@@ -62,16 +63,6 @@ impl Args {
         assert!(args.sessions > 0 && args.events > 0);
         args
     }
-}
-
-fn stream(profile_idx: usize, seed: u64, n: u64) -> Vec<Event> {
-    let profiles = all_profiles();
-    let mut src = profiles[profile_idx % profiles.len()].stream(seed, n);
-    let mut out = Vec::new();
-    while let Some(ev) = src.next_event() {
-        out.push(ev);
-    }
-    out
 }
 
 fn rank_of(session: usize) -> u8 {
@@ -216,14 +207,10 @@ fn check_no_loss_no_dup(
     scrub_interval: u64,
 ) {
     for (&session, events) in admitted {
-        let mut solo = SessionPipeline::new(scrub_interval);
-        for ev in events {
-            solo.apply(ev);
-        }
         match reports.get(&session) {
             Some(bytes) => assert_eq!(
                 *bytes,
-                solo.report().encode(),
+                solo(events, scrub_interval),
                 "session {session}: wire report diverged from a solo run of its admitted stream"
             ),
             None => assert!(

@@ -20,15 +20,16 @@
 //! overload_stress [--seed S] [--iters N] [--sessions K] [--events E]
 //! ```
 
+mod common;
+
+use common::{mix, solo, stream};
 use latch_core::PAGE_SIZE;
 use latch_faults::{FaultInjector, FaultPlan};
 use latch_serve::{
     MultiIngress, Priority, Rejected, ServeConfig, Service, ServiceOutcome, Slo,
     SloReport,
 };
-use latch_sim::event::{Event, EventSource};
-use latch_systems::session::SessionPipeline;
-use latch_workloads::all_profiles;
+use latch_sim::event::Event;
 use std::collections::BTreeSet;
 
 struct Args {
@@ -63,24 +64,6 @@ impl Args {
         assert!(args.iters > 0 && args.sessions > 0 && args.events > 0);
         args
     }
-}
-
-/// SplitMix64 — the one deterministic entropy source in this binary.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-fn stream(profile_idx: usize, seed: u64, n: u64) -> Vec<Event> {
-    let profiles = all_profiles();
-    let mut src = profiles[profile_idx % profiles.len()].stream(seed, n);
-    let mut out = Vec::new();
-    while let Some(ev) = src.next_event() {
-        out.push(ev);
-    }
-    out
 }
 
 fn priority_of(session: usize) -> Priority {
@@ -239,13 +222,9 @@ fn main() {
             }
             // The admitted stream reproduces exactly: a demoted-then-
             // promoted session is indistinguishable from a solo run.
-            let mut solo = SessionPipeline::new(cfg.scrub_interval);
-            for ev in &a.admitted[i] {
-                solo.apply(ev);
-            }
             assert_eq!(
                 a.out.sessions[&(i as u64)].encode(),
-                solo.report().encode(),
+                solo(&a.admitted[i], cfg.scrub_interval),
                 "iter {iter} session {i}: report diverged from solo run of admitted stream"
             );
         }

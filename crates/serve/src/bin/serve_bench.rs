@@ -11,10 +11,12 @@
 //!             [--workers 1,2,4,8] [--out BENCH_serve.json]
 //! ```
 
+mod common;
+
+use common::stream;
 use latch_faults::FaultPlan;
 use latch_serve::{Priority, Rejected, ServeConfig, Service, ServiceOutcome, Slo};
-use latch_sim::event::{Event, EventSource};
-use latch_workloads::all_profiles;
+use latch_sim::event::Event;
 use std::fmt::Write as _;
 
 struct Args {
@@ -57,20 +59,6 @@ impl Args {
         assert!(args.sessions > 0 && args.events > 0 && !args.workers.is_empty());
         args
     }
-}
-
-fn session_streams(sessions: usize, events: u64) -> Vec<Vec<Event>> {
-    let profiles = all_profiles();
-    (0..sessions)
-        .map(|s| {
-            let mut src = profiles[s % profiles.len()].stream(1_000 + s as u64, events);
-            let mut out = Vec::new();
-            while let Some(ev) = src.next_event() {
-                out.push(ev);
-            }
-            out
-        })
-        .collect()
 }
 
 fn run_at(workers: usize, streams: &[Vec<Event>], chunk: usize) -> ServiceOutcome {
@@ -176,7 +164,9 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 
 fn main() {
     let args = Args::parse();
-    let streams = session_streams(args.sessions, args.events);
+    let streams: Vec<Vec<Event>> = (0..args.sessions)
+        .map(|s| stream(s, 1_000 + s as u64, args.events))
+        .collect();
     let total_events: u64 = streams.iter().map(|s| s.len() as u64).sum();
 
     let mut json = String::new();

@@ -11,16 +11,23 @@
 //! * **Snapshot store** — once a session has applied
 //!   `snapshot_every` events past its last durable snapshot, the
 //!   maintenance pass writes a checksummed frame (see
-//!   [`crate::store`]) to the session's alternate generation and, on
-//!   a successful sync, truncates the journal it supersedes.
-//! * **Recovery** — [`DurableService::recover`] scans the store,
-//!   quarantines every corrupt or torn frame with a typed
-//!   [`RecoveryError`] (never a panic), restores the newest valid
-//!   snapshot per session, replays the journal suffix through the
-//!   real pipeline, and bumps the session epoch. Recovered state is
-//!   an *exact prefix* of the submitted stream: re-submitting the
-//!   un-recovered suffix yields reports byte-identical to a run that
-//!   never crashed.
+//!   [`crate::store`]) to the session's alternate generation. One
+//!   fsync then makes the pass's frames durable, and only after it
+//!   succeeds are the journals they supersede truncated — so a crash
+//!   can never leave a rotated journal without its snapshot.
+//! * **Restore** — one path brings a session back, from this node's
+//!   own files after a crash or from an export shipped by another
+//!   node: pick the newest snapshot generation that decodes and thaws,
+//!   replay the journal on top (skip covered records, stop at a gap),
+//!   take the sticky class from the frame, else the journal header,
+//!   else the default, bump the epoch, and seal the result with the
+//!   same snapshot-then-rotate step maintenance uses.
+//! * **Recovery** — [`DurableService::recover`] is that restore over
+//!   every session the store's file names mention. Every corrupt or
+//!   torn frame is quarantined with a typed [`RecoveryError`] (never a
+//!   panic). Recovered state is an *exact prefix* of the submitted
+//!   stream: re-submitting the un-recovered suffix yields reports
+//!   byte-identical to a run that never crashed.
 //! * **Fencing epoch** — the highest router epoch that adopted this
 //!   node lives in a node-level `node-epoch` file (a node with no
 //!   sessions has no journal header to hold it), written with the
@@ -38,14 +45,14 @@
 use crate::journal::{self, RecoveryError};
 use crate::overload::Priority;
 use crate::storage::Storage;
-use crate::store;
+use crate::store::{self, SnapFrame};
 use crate::{Rejected, ServeConfig, Service, ServiceOutcome};
 use latch_core::snapshot::crc32;
 use latch_faults::FaultPlan;
 use latch_obs::TraceEvent;
 use latch_sim::event::Event;
 use latch_systems::session::SessionPipeline;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Durability tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,6 +82,7 @@ impl DurableConfig {
 }
 
 /// Per-session durability bookkeeping.
+#[derive(Default)]
 struct DurState {
     /// Events journaled so far == the next record's `base_seq`.
     journaled: u64,
@@ -82,24 +90,130 @@ struct DurState {
     snapshotted: u64,
     /// Generation the *next* snapshot frame goes to (alternates).
     next_generation: u8,
-    /// Set when a journal append failed: the WAL has a gap, so no
-    /// further appends make sense until a snapshot covers everything
-    /// admitted and the journal is rotated clean.
+    /// Set when a journal append failed (the WAL has a gap), and for a
+    /// restored session until its seal lands: no further appends make
+    /// sense until a snapshot covers everything admitted and the
+    /// journal is rotated clean.
     needs_resync: bool,
     /// Whether the `wal-*` file exists (header written).
     has_wal: bool,
 }
 
 impl DurState {
-    fn new() -> Self {
-        Self {
-            journaled: 0,
-            snapshotted: 0,
-            next_generation: 0,
-            needs_resync: false,
-            has_wal: false,
+    /// First half of the snapshot-then-rotate step: writes `f` to the
+    /// next generation; only on success flips the generation, marks it
+    /// snapshotted, and — when it covers everything journaled — queues
+    /// its journal in `covered` for [`DurableService::rotate_covered`].
+    fn write_snapshot<S: Storage>(
+        &mut self,
+        storage: &mut S,
+        f: &SnapFrame,
+        covered: &mut Vec<(u64, Priority)>,
+    ) -> bool {
+        let generation = self.next_generation;
+        let (session, applied, priority) = (f.session, f.applied, f.priority);
+        if !store::write_frame(storage, session, generation, f.epoch, applied, priority, &f.blob) {
+            return false;
+        }
+        self.next_generation = 1 - generation;
+        self.snapshotted = applied;
+        if applied >= self.journaled {
+            covered.push((session, priority));
+        }
+        true
+    }
+}
+
+/// The sealing frame of a session restored here: a new epoch, so this
+/// node's frames dominate any stale copy of its history.
+fn sealing_frame(session: u64, mut pipe: SessionPipeline, priority: Priority) -> SnapFrame {
+    pipe.bump_epoch();
+    SnapFrame {
+        session,
+        epoch: pipe.epoch(),
+        applied: pipe.applied(),
+        priority,
+        blob: pipe.to_snapshot(),
+    }
+}
+
+/// The one file-name → session-id scan: every session a `wal-*` or
+/// `snap-*` file mentions. Other names (`node-epoch`) are ignored.
+fn session_ids(files: &[String]) -> BTreeSet<u64> {
+    files
+        .iter()
+        .filter_map(|name| {
+            journal::parse_wal_name(name).or_else(|| store::parse_snap_name(name).map(|(s, _)| s))
+        })
+        .collect()
+}
+
+/// The one newest-valid-snapshot pick over generations 0 and 1. A
+/// frame counts only if it decodes *and* its blob thaws; every other
+/// frame goes to `quarantine` as `(file, offset, error)`. Returns the
+/// winner with the pipeline thawed from it, so no blob thaws twice.
+fn pick_snapshot<S: Storage>(
+    storage: &mut S,
+    session: u64,
+    quarantine: &mut impl FnMut(String, u64, RecoveryError),
+) -> Option<(SnapFrame, SessionPipeline)> {
+    let mut best: Option<(SnapFrame, SessionPipeline)> = None;
+    for generation in [0u8, 1u8] {
+        let name = store::snap_name(session, generation);
+        let Some(bytes) = storage.read(&name) else {
+            continue;
+        };
+        match store::decode_frame(session, &bytes) {
+            Ok(frame) => match SessionPipeline::from_snapshot(&frame.blob) {
+                Ok(pipe) => {
+                    if best.as_ref().is_none_or(|(b, _)| frame.newer_than(b)) {
+                        best = Some((frame, pipe));
+                    }
+                }
+                Err(_) => quarantine(name, 0, RecoveryError::BadSnapshot),
+            },
+            Err(err) => quarantine(name, 0, err),
         }
     }
+    best
+}
+
+/// The one exact-prefix journal replay: applies `wal`'s records on
+/// top of `pipe`, skipping what the pipeline already covers
+/// (straddlers partially) and stopping at the first gap — nothing
+/// after a lost record can be applied without breaking event order.
+/// The scan itself stops at the first corruption. Returns the events
+/// applied, the header's class, and the corruption with its offset.
+fn replay(
+    session: u64,
+    wal: &[u8],
+    pipe: &mut SessionPipeline,
+) -> (u64, Option<Priority>, Option<(u64, RecoveryError)>) {
+    let scan = journal::scan_wal(session, wal);
+    let mut replayed = 0u64;
+    for rec in scan.records {
+        let end = rec.base_seq + rec.events.len() as u64;
+        if end <= pipe.applied() {
+            continue;
+        }
+        if rec.base_seq > pipe.applied() {
+            break;
+        }
+        let skip = (pipe.applied() - rec.base_seq) as usize;
+        for ev in &rec.events[skip..] {
+            pipe.apply(ev);
+            replayed += 1;
+        }
+    }
+    (replayed, scan.priority, scan.quarantined)
+}
+
+/// The one priority rule: the snapshot frame's class, then the journal
+/// header's (written at first admission), then the default — a
+/// Critical session must not silently become sheddable across a crash
+/// or a move.
+fn sticky_priority(frame: Option<Priority>, wal: Option<Priority>) -> Priority {
+    frame.or(wal).unwrap_or_default()
 }
 
 /// One session's durable state, packaged for migration to another
@@ -236,7 +350,7 @@ pub struct DurableService<S: Storage> {
     /// maintenance skips them, and the drain outcome omits them —
     /// their history continues on the importer, and a second report
     /// here would double-count it at a cluster drain.
-    expelled: std::collections::BTreeSet<u64>,
+    expelled: BTreeSet<u64>,
     /// The durable fencing epoch: the highest router epoch persisted by
     /// [`persist_fencing_epoch`](Self::persist_fencing_epoch).
     fencing_epoch: u64,
@@ -254,7 +368,7 @@ impl<S: Storage> DurableService<S> {
             unsynced_events: 0,
             dirty_files: 0,
             scrub_interval: cfg.scrub_interval,
-            expelled: std::collections::BTreeSet::new(),
+            expelled: BTreeSet::new(),
             fencing_epoch: 0,
         }
     }
@@ -315,7 +429,7 @@ impl<S: Storage> DurableService<S> {
         // The slot exists after a successful admission; its sticky
         // class (not this call's flag) is what must be persisted.
         let priority = self.svc.session_priority(session).unwrap_or(priority);
-        let state = self.sessions.entry(session).or_insert_with(DurState::new);
+        let state = self.sessions.entry(session).or_default();
         if !state.needs_resync {
             match journal::append_frame(
                 &mut self.storage,
@@ -378,14 +492,16 @@ impl<S: Storage> DurableService<S> {
 
     /// Drives the scheduler until idle, then runs durability
     /// maintenance: snapshots for every session that moved
-    /// `snapshot_every` events past its last durable frame, journal
-    /// truncation for snapshots that cover them, and a group commit.
+    /// `snapshot_every` events past its last durable frame, one fsync,
+    /// journal truncation for snapshots that cover them, and a group
+    /// commit.
     pub fn pump(&mut self) {
         self.svc.pump();
         self.maintenance();
     }
 
     fn maintenance(&mut self) {
+        let mut covered = Vec::new();
         for session in self.svc.session_ids() {
             // An expelled session's files are deleted; a snapshot here
             // would resurrect them (and stale state) on this node.
@@ -395,7 +511,7 @@ impl<S: Storage> DurableService<S> {
             let Some((applied, _epoch)) = self.svc.session_progress(session) else {
                 continue;
             };
-            let state = self.sessions.entry(session).or_insert_with(DurState::new);
+            let state = self.sessions.entry(session).or_default();
             let due = applied.saturating_sub(state.snapshotted) >= self.dcfg.snapshot_every
                 || (state.needs_resync && applied >= state.journaled);
             if !due {
@@ -404,40 +520,65 @@ impl<S: Storage> DurableService<S> {
             let Some((applied, epoch, blob)) = self.svc.snapshot_session(session) else {
                 continue;
             };
-            let priority = self.svc.session_priority(session).unwrap_or_default();
-            let generation = state.next_generation;
-            if !store::write_frame(
-                &mut self.storage,
+            let frame = SnapFrame {
                 session,
-                generation,
                 epoch,
                 applied,
-                priority,
-                &blob,
-            ) {
-                continue;
+                priority: self.svc.session_priority(session).unwrap_or_default(),
+                blob,
+            };
+            if state.write_snapshot(&mut self.storage, &frame, &mut covered) {
+                self.dirty_files += 1;
+                latch_obs::counter_inc("serve.snapshot.writes");
             }
-            self.dirty_files += 1;
-            latch_obs::counter_inc("serve.snapshot.writes");
-            // The snapshot must be durable before the journal it
-            // supersedes is truncated — rotation rides the same
-            // atomic-replace + fsync path, and recovery tolerates
-            // every interleaving (old WAL + new snapshot just skips
-            // the covered records).
-            if applied >= state.journaled {
-                if journal::rotate(&mut self.storage, session, priority) {
-                    state.needs_resync = false;
-                    state.has_wal = true;
-                } else {
-                    // The stale journal still stands; keep refusing
-                    // appends until a later rotation lands.
-                    state.needs_resync = true;
-                }
-            }
-            state.snapshotted = applied;
-            state.next_generation = 1 - generation;
         }
+        self.rotate_covered(covered);
         self.group_commit();
+    }
+
+    /// Second half of the snapshot-then-rotate step: one fsync makes
+    /// the pass's frames durable, and only then is every journal in
+    /// `covered` truncated to a clean header. A failed sync rotates
+    /// nothing — the journals stay whole beside frames that may not
+    /// survive. A failed rotation leaves the stale journal standing, so
+    /// appends stay refused until a later rotation lands.
+    fn rotate_covered(&mut self, covered: Vec<(u64, Priority)>) {
+        if covered.is_empty() {
+            return;
+        }
+        if !self.storage.fsync() {
+            latch_obs::counter_inc("serve.fsync.failures");
+            return;
+        }
+        for (session, priority) in covered {
+            let rotated = journal::rotate(&mut self.storage, session, priority);
+            let state = self.sessions.get_mut(&session).expect("covered sessions have state");
+            state.needs_resync = !rotated;
+            state.has_wal |= rotated;
+        }
+    }
+
+    /// Seals sessions restored here — recovery's and import's last
+    /// step: each starts a fresh [`DurState`], the snapshot step writes
+    /// its frame to generation 0 and rotates its journal clean, and the
+    /// scheduler preloads it.
+    fn seal(&mut self, frames: Vec<SnapFrame>) {
+        let mut covered = Vec::new();
+        for frame in &frames {
+            // Appends stay refused until the seal rotates the journal
+            // the session came from.
+            let mut state = DurState {
+                journaled: frame.applied,
+                needs_resync: true,
+                ..DurState::default()
+            };
+            state.write_snapshot(&mut self.storage, frame, &mut covered);
+            self.sessions.insert(frame.session, state);
+        }
+        self.rotate_covered(covered);
+        for f in frames {
+            self.svc.preload_session(f.session, f.blob, f.applied, f.epoch, f.priority);
+        }
     }
 
     /// Graceful drain: final maintenance pass, group commit, then the
@@ -479,7 +620,7 @@ impl<S: Storage> DurableService<S> {
         cfg: ServeConfig,
         dcfg: DurableConfig,
         plan: FaultPlan,
-        mut storage: S,
+        storage: S,
     ) -> (Self, RecoveryReport) {
         let files = storage.list();
         latch_obs::emit(
@@ -489,21 +630,10 @@ impl<S: Storage> DurableService<S> {
             },
         );
         latch_obs::counter_inc("serve.recovery.runs");
+        let mut durable = Self::new(cfg, dcfg, plan, storage);
         let mut report = RecoveryReport::default();
-        // Collect every session mentioned by any file.
-        let mut session_ids: Vec<u64> = files
-            .iter()
-            .filter_map(|name| {
-                journal::parse_wal_name(name)
-                    .or_else(|| store::parse_snap_name(name).map(|(s, _)| s))
-            })
-            .collect();
-        session_ids.sort_unstable();
-        session_ids.dedup();
-
-        let mut svc = Service::deterministic(cfg, plan);
-        let mut sessions: BTreeMap<u64, DurState> = BTreeMap::new();
-        for session in session_ids {
+        let mut frames = Vec::new();
+        for session in session_ids(&files) {
             let mut quarantine = |file: String, offset: u64, error: RecoveryError| {
                 latch_obs::emit(
                     "serve",
@@ -520,103 +650,37 @@ impl<S: Storage> DurableService<S> {
                     error,
                 });
             };
-            // Newest valid snapshot across both generations; a frame
-            // that decodes but whose embedded blob does not is
-            // quarantined exactly like a bad frame.
-            let mut best: Option<(store::SnapFrame, SessionPipeline)> = None;
-            for generation in [0u8, 1u8] {
-                let name = store::snap_name(session, generation);
-                let Some(bytes) = storage.read(&name) else {
-                    continue;
+            let (snapshot_applied, frame_priority, mut pipe) =
+                match pick_snapshot(&mut durable.storage, session, &mut quarantine) {
+                    Some((frame, pipe)) => (frame.applied, Some(frame.priority), pipe),
+                    None => (0, None, SessionPipeline::new(cfg.scrub_interval)),
                 };
-                match store::decode_frame(session, &bytes) {
-                    Ok(frame) => match SessionPipeline::from_snapshot(&frame.blob) {
-                        Ok(pipe) => {
-                            if best.as_ref().is_none_or(|(b, _)| frame.newer_than(b)) {
-                                best = Some((frame, pipe));
-                            }
-                        }
-                        Err(_) => quarantine(name, 0, RecoveryError::BadSnapshot),
-                    },
-                    Err(err) => quarantine(name, 0, err),
-                }
-            }
-            let (snapshot_applied, frame_priority, mut pipe) = match best {
-                Some((frame, pipe)) => (frame.applied, Some(frame.priority), pipe),
-                None => (0, None, SessionPipeline::new(cfg.scrub_interval)),
-            };
-            debug_assert_eq!(pipe.applied(), snapshot_applied);
-
-            // Replay the journal suffix on top of the snapshot. The
-            // scan stops at the first corruption; records the snapshot
-            // already covers are skipped (straddlers partially).
-            let mut replayed = 0u64;
-            let mut wal_priority = None;
             let wal = journal::wal_name(session);
-            if let Some(bytes) = storage.read(&wal) {
-                let scan = journal::scan_wal(session, &bytes);
-                wal_priority = scan.priority;
-                if let Some((offset, err)) = scan.quarantined {
-                    quarantine(wal.clone(), offset, err);
-                }
-                for rec in scan.records {
-                    let end = rec.base_seq + rec.events.len() as u64;
-                    if end <= pipe.applied() {
-                        continue; // fully covered by the snapshot
-                    }
-                    if rec.base_seq > pipe.applied() {
-                        // A gap (lost record): nothing after it can be
-                        // applied without breaking event order.
-                        break;
-                    }
-                    let skip = (pipe.applied() - rec.base_seq) as usize;
-                    for ev in &rec.events[skip..] {
-                        pipe.apply(ev);
-                        replayed += 1;
-                    }
-                }
+            let (replayed, wal_priority, torn) = durable
+                .storage
+                .read(&wal)
+                .map_or((0, None, None), |bytes| replay(session, &bytes, &mut pipe));
+            if let Some((offset, err)) = torn {
+                quarantine(wal, offset, err);
             }
-
-            // Seal the recovery: new epoch, fresh durable snapshot of
-            // the recovered state, clean journal. The sticky admission
-            // class comes from the newest valid snapshot frame, falling
-            // back to the journal header (written at first admission)
-            // and only then to the default — a Critical session must
-            // not silently become sheddable across a crash.
-            let priority = frame_priority.or(wal_priority).unwrap_or_default();
-            pipe.bump_epoch();
-            let epoch = pipe.epoch();
-            let recovered = pipe.applied();
-            let blob = pipe.to_snapshot();
-            let mut state = DurState::new();
-            state.journaled = recovered;
-            state.snapshotted = recovered;
-            // The recovery frame goes to generation 0; its successor
-            // alternates as usual. Epoch dominance makes it supersede
-            // both pre-crash generations regardless of `applied`.
-            if store::write_frame(&mut storage, session, 0, epoch, recovered, priority, &blob) {
-                state.next_generation = 1;
-            }
-            state.has_wal = journal::rotate(&mut storage, session, priority);
-            // A failed rotation leaves the stale pre-crash journal in
-            // place; appending after it would interleave streams.
-            state.needs_resync = !state.has_wal;
-            svc.preload_session(session, blob, recovered, epoch, priority);
+            let priority = sticky_priority(frame_priority, wal_priority);
+            let frame = sealing_frame(session, pipe, priority);
             report.sessions.insert(
                 session,
                 SessionRecovery {
                     snapshot_applied,
                     replayed,
-                    recovered,
-                    epoch,
+                    recovered: frame.applied,
+                    epoch: frame.epoch,
                 },
             );
-            sessions.insert(session, state);
+            frames.push(frame);
         }
-        storage.fsync();
+        durable.seal(frames);
+        durable.storage.fsync();
         // A torn or corrupt epoch file is quarantined like any frame;
         // the node then starts unfenced, exactly as before any adopt.
-        let fencing_epoch = read_epoch(&mut storage).unwrap_or_else(|error| {
+        durable.fencing_epoch = read_epoch(&mut durable.storage).unwrap_or_else(|error| {
             latch_obs::counter_inc("serve.recovery.quarantined");
             report.quarantined.push(QuarantinedFrame {
                 file: EPOCH_FILE.to_string(),
@@ -625,17 +689,6 @@ impl<S: Storage> DurableService<S> {
             });
             0
         });
-        let durable = Self {
-            svc,
-            storage,
-            dcfg: dcfg.sanitized(),
-            sessions,
-            unsynced_events: 0,
-            dirty_files: 0,
-            scrub_interval: cfg.scrub_interval,
-            expelled: std::collections::BTreeSet::new(),
-            fencing_epoch,
-        };
         (durable, report)
     }
 
@@ -751,47 +804,24 @@ impl<S: Storage> DurableService<S> {
         if self.svc.session_progress(session).is_some() {
             return Err(ImportError::Resident { session });
         }
-        let mut pipe = thaw_export(session, self.scrub_interval, blob, wal)?;
-        // Seal locally exactly like recovery: new epoch (so this
-        // node's frames dominate any stale copy), fresh generation-0
-        // snapshot, clean journal.
-        pipe.bump_epoch();
-        let epoch = pipe.epoch();
-        let applied = pipe.applied();
-        let sealed = pipe.to_snapshot();
-        let mut state = DurState::new();
-        state.journaled = applied;
-        state.snapshotted = applied;
-        if store::write_frame(
-            &mut self.storage,
-            session,
-            0,
-            epoch,
-            applied,
-            priority,
-            &sealed,
-        ) {
-            state.next_generation = 1;
-        }
-        state.has_wal = journal::rotate(&mut self.storage, session, priority);
-        state.needs_resync = !state.has_wal;
+        let pipe = thaw_export(session, self.scrub_interval, blob, wal)?;
+        let frame = sealing_frame(session, pipe, priority);
+        let applied = frame.applied;
+        self.seal(vec![frame]);
         self.storage.fsync();
-        self.svc.preload_session(session, sealed, applied, epoch, priority);
-        self.sessions.insert(session, state);
         latch_obs::counter_inc("serve.migrate.imports");
         Ok(applied)
     }
 }
 
 /// Restores a shipped [`SessionExport`] to a live pipeline: thaw the
-/// LTSE blob (or start fresh when it is empty) and replay the WAL
-/// suffix with the recovery scan's exact-prefix discipline — skip
-/// records the snapshot covers, stop at the first gap or corruption.
+/// LTSE blob (or start fresh when it is empty) and [`replay`] the WAL
+/// suffix on top of it.
 ///
 /// # Errors
 ///
 /// [`ImportError::BadSnapshot`] when the blob does not thaw.
-pub fn thaw_export(
+pub(crate) fn thaw_export(
     session: u64,
     scrub_interval: u64,
     blob: &[u8],
@@ -802,77 +832,39 @@ pub fn thaw_export(
     } else {
         SessionPipeline::from_snapshot(blob).map_err(|_| ImportError::BadSnapshot)?
     };
-    if !wal.is_empty() {
-        let scan = journal::scan_wal(session, wal);
-        for rec in scan.records {
-            let end = rec.base_seq + rec.events.len() as u64;
-            if end <= pipe.applied() {
-                continue;
-            }
-            if rec.base_seq > pipe.applied() {
-                break;
-            }
-            let skip = (pipe.applied() - rec.base_seq) as usize;
-            for ev in &rec.events[skip..] {
-                pipe.apply(ev);
-            }
-        }
-    }
+    replay(session, wal, &mut pipe);
     Ok(pipe)
 }
 
 /// Reads one session's durable artifacts straight off a storage
 /// backend — the path used when the owning process is dead and only
-/// its disk survives. Picks the newest snapshot generation whose frame
-/// decodes *and* whose blob thaws (the recovery criterion), and ships
-/// the raw journal bytes alongside. `None` when no file mentions the
-/// session.
-pub fn export_session_from<S: Storage>(storage: &mut S, session: u64) -> Option<SessionExport> {
-    let mut best: Option<store::SnapFrame> = None;
-    for generation in [0u8, 1u8] {
-        let Some(bytes) = storage.read(&store::snap_name(session, generation)) else {
-            continue;
-        };
-        if let Ok(frame) = store::decode_frame(session, &bytes) {
-            if SessionPipeline::from_snapshot(&frame.blob).is_ok()
-                && best.as_ref().is_none_or(|b| frame.newer_than(b))
-            {
-                best = Some(frame);
-            }
-        }
-    }
+/// its disk survives: the snapshot recovery would pick (quarantines
+/// discarded) and the raw journal bytes. `None` when no file mentions
+/// the session.
+fn export_session_from<S: Storage>(storage: &mut S, session: u64) -> Option<SessionExport> {
+    let best = pick_snapshot(storage, session, &mut |_, _, _| {});
     let wal = storage.read(&journal::wal_name(session));
     if best.is_none() && wal.is_none() {
         return None;
     }
-    let wal_priority = wal
-        .as_ref()
-        .and_then(|bytes| journal::scan_wal(session, bytes).priority);
+    let wal_priority = wal.as_ref().and_then(|w| journal::scan_wal(session, w).priority);
     let (blob, frame_priority) = match best {
-        Some(frame) => (frame.blob, Some(frame.priority)),
+        Some((frame, _)) => (frame.blob, Some(frame.priority)),
         None => (Vec::new(), None),
     };
     Some(SessionExport {
         session,
-        priority: frame_priority.or(wal_priority).unwrap_or_default(),
+        priority: sticky_priority(frame_priority, wal_priority),
         blob,
         wal: wal.unwrap_or_default(),
     })
 }
 
-/// [`export_session_from`] for every session any file mentions, sorted
-/// by session id.
+/// [`DurableService::export_session`] off a dead node's storage, for
+/// every session any file mentions, sorted by session id.
 pub fn export_sessions<S: Storage>(storage: &mut S) -> Vec<SessionExport> {
-    let mut ids: Vec<u64> = storage
-        .list()
-        .iter()
-        .filter_map(|name| {
-            journal::parse_wal_name(name).or_else(|| store::parse_snap_name(name).map(|(s, _)| s))
-        })
-        .collect();
-    ids.sort_unstable();
-    ids.dedup();
-    ids.into_iter()
+    session_ids(&storage.list())
+        .into_iter()
         .filter_map(|session| export_session_from(storage, session))
         .collect()
 }

@@ -24,8 +24,8 @@
 use crate::overload::Priority;
 use crate::storage::Storage;
 use latch_core::snapshot::crc32;
-use latch_sim::event::{Event, EventSource};
-use latch_sim::trace::{TraceReader, TraceWriter};
+use latch_sim::event::Event;
+use latch_sim::trace::{decode_counted, TraceWriter};
 
 /// Journal file magic: "LTWL" (LaTch Write-ahead Log).
 pub const WAL_MAGIC: u32 = 0x4C54_574C;
@@ -290,19 +290,8 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, RecoveryError> {
     let base_seq = u64::from_le_bytes(payload[0..8].try_into().expect("8 bytes"));
     let count = u32::from_le_bytes(payload[8..12].try_into().expect("4 bytes")) as usize;
     // CRC already passed, but the payload is still parsed defensively:
-    // the trace decoder returns typed errors on any malformed region.
-    let mut reader = TraceReader::new(bytes::Bytes::from(payload[12..].to_vec()))
-        .map_err(|_| RecoveryError::BadPayload)?;
-    let mut events = Vec::new();
-    while events.len() < count {
-        match reader.next_event() {
-            Some(ev) => events.push(ev),
-            None => return Err(RecoveryError::BadPayload),
-        }
-    }
-    if reader.next_event().is_some() || reader.error().is_some() {
-        return Err(RecoveryError::BadPayload);
-    }
+    // any malformed region or count mismatch is a typed error.
+    let events = decode_counted(count, &payload[12..]).ok_or(RecoveryError::BadPayload)?;
     Ok(WalRecord { base_seq, events })
 }
 
@@ -361,6 +350,7 @@ mod tests {
     use super::*;
     use crate::storage::MemStorage;
     use latch_faults::FaultPlan;
+    use latch_sim::event::EventSource;
     use latch_workloads::BenchmarkProfile;
 
     fn events(n: u64) -> Vec<Event> {

@@ -35,8 +35,8 @@ pub mod store;
 pub mod wire;
 
 pub use durable::{
-    export_session_from, export_sessions, thaw_export, DurableConfig, DurableService,
-    ImportError, RecoveryReport, SessionExport, SessionRecovery,
+    export_sessions, DurableConfig, DurableService, ImportError, RecoveryReport, SessionExport,
+    SessionRecovery,
 };
 pub use ingress::{FailoverRecord, IngressReport, MultiIngress, INGRESS_PATHS};
 pub use journal::RecoveryError;

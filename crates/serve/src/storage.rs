@@ -6,7 +6,10 @@
 //!
 //! * [`DirStorage`] — a real directory. Appends go straight to the
 //!   file; atomic replaces write a temp file and rename over the
-//!   target; fsync syncs every file touched since the last sync.
+//!   target; fsync syncs every file touched since the last sync, and
+//!   the directory itself when an entry was created, renamed or
+//!   removed since then (a rename is durable only once its directory
+//!   is).
 //! * [`MemStorage`] — a deterministic in-memory model with an explicit
 //!   crash semantics driven by the seeded disk-fault streams of
 //!   [`latch_faults`]. It records every mutating operation in an op
@@ -51,6 +54,9 @@ pub struct DirStorage {
     root: std::path::PathBuf,
     /// Files appended/replaced since the last fsync.
     dirty: Vec<String>,
+    /// Whether an entry was created, renamed or removed since the last
+    /// successful directory sync.
+    dir_dirty: bool,
 }
 
 impl DirStorage {
@@ -66,6 +72,7 @@ impl DirStorage {
         Ok(Self {
             root,
             dirty: Vec::new(),
+            dir_dirty: false,
         })
     }
 
@@ -103,6 +110,7 @@ impl Storage for DirStorage {
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> bool {
         use std::io::Write;
+        self.dir_dirty |= !self.path(name).exists();
         let ok = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -127,6 +135,7 @@ impl Storage for DirStorage {
             .is_ok();
         if ok {
             self.mark_dirty(name);
+            self.dir_dirty = true;
         } else {
             let _ = std::fs::remove_file(&tmp);
         }
@@ -142,11 +151,21 @@ impl Storage for DirStorage {
                 .is_ok();
             all_ok &= ok;
         }
+        if self.dir_dirty {
+            let ok = std::fs::File::open(&self.root)
+                .and_then(|d| d.sync_all())
+                .is_ok();
+            self.dir_dirty = !ok;
+            all_ok &= ok;
+        }
         all_ok
     }
 
     fn remove(&mut self, name: &str) {
-        let _ = std::fs::remove_file(self.path(name));
+        if std::fs::remove_file(self.path(name)).is_ok() {
+            self.dirty.retain(|d| d != name);
+            self.dir_dirty = true;
+        }
     }
 }
 
@@ -427,6 +446,27 @@ mod tests {
         );
         s.remove("wal-1");
         assert!(s.read("wal-1").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dir_storage_syncs_the_directory_after_entry_changes() {
+        let dir = std::env::temp_dir().join(format!("latch-serve-dirsync-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut s = DirStorage::open(&dir).unwrap();
+        assert!(s.append("wal-1", b"aa"));
+        assert!(s.dir_dirty, "append created the file");
+        assert!(s.fsync());
+        assert!(!s.dir_dirty, "a successful fsync syncs the directory");
+        assert!(s.append("wal-1", b"bb"));
+        assert!(!s.dir_dirty, "appending to an existing file changes no entry");
+        assert!(s.write_atomic("snap-1", b"v1"));
+        assert!(s.dir_dirty, "the atomic replace renamed over the target");
+        assert!(s.fsync());
+        s.remove("wal-1");
+        assert!(s.dir_dirty, "remove deleted an entry");
+        assert!(s.fsync(), "a removed file is no longer synced");
+        assert!(!s.dir_dirty);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

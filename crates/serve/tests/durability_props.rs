@@ -376,3 +376,90 @@ fn fencing_epoch_recovers_and_a_bad_epoch_file_is_quarantined() {
         assert_eq!(report.sessions[&4].recovered, 200, "{what}");
     }
 }
+
+/// A journal is rotated only after the snapshot that supersedes it is
+/// durable. Every batch here is fsynced at admission; a crash at any
+/// later storage op — including the un-synced window inside the
+/// maintenance pass, where a torn snapshot write could leave the
+/// rotated journal standing alone — must still recover all of it.
+#[test]
+fn fsynced_events_survive_a_crash_inside_the_maintenance_pass() {
+    let evs = stream(&all_profiles()[0], 5, 10);
+    let cfg = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let dcfg = DurableConfig {
+        group_commit_events: 1,
+        snapshot_every: 10,
+    };
+    for seed in 0..200 {
+        let plan = FaultPlan::new(seed).with_disk_faults(500, 0, 0, 0);
+        // The op count once the batch's group commit has synced it.
+        let mut svc = DurableService::new(cfg, dcfg, plan, MemStorage::new(plan));
+        svc.submit(0, &evs).unwrap();
+        let synced = svc.crash().ops_len();
+        let mut svc = DurableService::new(cfg, dcfg, plan, MemStorage::new(plan));
+        svc.submit(0, &evs).unwrap();
+        svc.pump();
+        let storage = svc.crash();
+        for crash_op in synced..=storage.ops_len() {
+            let image = storage.crash_image(crash_op);
+            let (_, report) = DurableService::recover(cfg, dcfg, plan, image);
+            assert_eq!(
+                report.sessions[&0].recovered, 10,
+                "seed {seed}: a crash before op {crash_op} lost fsynced events"
+            );
+        }
+    }
+}
+
+/// A `MemStorage` that refuses every snapshot write.
+struct NoSnapshots(MemStorage);
+
+impl Storage for NoSnapshots {
+    fn list(&self) -> Vec<String> {
+        self.0.list()
+    }
+    fn read(&mut self, name: &str) -> Option<Vec<u8>> {
+        self.0.read(name)
+    }
+    fn append(&mut self, name: &str, bytes: &[u8]) -> bool {
+        self.0.append(name, bytes)
+    }
+    fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> bool {
+        !name.starts_with("snap-") && self.0.write_atomic(name, bytes)
+    }
+    fn fsync(&mut self) -> bool {
+        self.0.fsync()
+    }
+    fn remove(&mut self, name: &str) {
+        self.0.remove(name);
+    }
+}
+
+/// A recovery whose sealing snapshot cannot be written keeps the
+/// journal it replayed: the next restart recovers the same events
+/// instead of an emptied journal and no snapshot.
+#[test]
+fn a_failed_recovery_snapshot_keeps_the_journal() {
+    let evs = stream(&all_profiles()[0], 5, 10);
+    let cfg = ServeConfig::default();
+    let dcfg = DurableConfig {
+        group_commit_events: 1,
+        snapshot_every: 1_000_000,
+    };
+    let plan = FaultPlan::benign();
+    let mut svc = DurableService::new(cfg, dcfg, plan, MemStorage::new(plan));
+    svc.submit(0, &evs).unwrap();
+    svc.pump();
+    let storage = NoSnapshots(svc.crash());
+    let (svc, report) = DurableService::recover(cfg, dcfg, plan, storage);
+    assert_eq!(report.sessions[&0].recovered, 10);
+    let NoSnapshots(storage) = svc.crash();
+    let (_, report) = DurableService::recover(cfg, dcfg, plan, storage);
+    assert_eq!(
+        report.sessions[&0].recovered, 10,
+        "the restart after a failed recovery snapshot lost the journal"
+    );
+}

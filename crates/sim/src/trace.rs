@@ -26,6 +26,10 @@ pub const TRACE_MAGIC: u32 = 0x4C54_4348; // "LTCH"
 /// Trace format version.
 pub const TRACE_VERSION: u16 = 1;
 
+/// Smallest possible encoding of one event (pc + flags + regs), in
+/// bytes. Bounds a declared event count before decoding.
+pub const MIN_EVENT_LEN: usize = 8;
+
 /// Errors raised while decoding a trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -441,6 +445,24 @@ impl EventSource for TraceReader {
     }
 }
 
+/// Decodes a counted event batch: the self-contained trace stream
+/// `bytes` must hold exactly `count` events and nothing after them.
+/// The count is checked against [`MIN_EVENT_LEN`] before anything is
+/// decoded or allocated, so a hostile count cannot force work (or
+/// capacity) past what the bytes could hold. `None` on any mismatch or
+/// malformed region.
+pub fn decode_counted(count: usize, bytes: &[u8]) -> Option<Vec<Event>> {
+    if count.saturating_mul(MIN_EVENT_LEN) > bytes.len() {
+        return None;
+    }
+    let mut reader = TraceReader::new(Bytes::from(bytes.to_vec())).ok()?;
+    let mut events = Vec::with_capacity(count);
+    while events.len() < count {
+        events.push(reader.next_event()?);
+    }
+    (reader.next_event().is_none() && reader.error().is_none()).then_some(events)
+}
+
 /// Records everything an [`EventSource`] produces into a trace.
 pub fn record_all<S: EventSource>(mut src: S) -> Bytes {
     let mut w = TraceWriter::new();
@@ -545,5 +567,20 @@ mod tests {
         let mut reader = TraceReader::new(trace).unwrap();
         assert!(reader.next_event().is_none());
         assert!(reader.error().is_none());
+    }
+    #[test]
+    fn counted_batches_decode_exactly() {
+        let events = sample_events();
+        let n = events.len();
+        let trace = record_all(VecSource::new(events.clone()));
+        assert_eq!(decode_counted(n, &trace), Some(events));
+        assert_eq!(decode_counted(n + 1, &trace), None, "too few events");
+        assert_eq!(decode_counted(n - 1, &trace), None, "trailing event");
+        assert_eq!(decode_counted(n, &trace[..trace.len() - 1]), None, "torn event");
+        assert_eq!(decode_counted(0, &trace[..6]), Some(Vec::new()));
+        assert_eq!(decode_counted(0, b"nope-nope"), None, "bad header");
+        // A hostile count is refused from the length alone.
+        assert_eq!(decode_counted(usize::MAX, &trace), None);
+        assert_eq!(decode_counted(trace.len() / MIN_EVENT_LEN + 1, &trace), None);
     }
 }
