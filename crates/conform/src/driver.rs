@@ -336,15 +336,6 @@ fn check_superset<V: PreciseView>(
     Ok(())
 }
 
-/// Adapter: a `DiftEngine`'s shadow as a `PreciseView`.
-struct ShadowView<'a>(&'a DiftEngine);
-
-impl PreciseView for ShadowView<'_> {
-    fn any_tainted(&self, start: Addr, len: u32) -> bool {
-        self.0.shadow().any_tainted(start, len)
-    }
-}
-
 fn degrade_cfg() -> ResilienceConfig {
     // Degrade recovery keeps drop-bearing reports byte-identical (see
     // PR 1's fault oracle); Restart cutover is timing-sensitive.
@@ -412,10 +403,10 @@ pub fn check(prog: &TestProgram, opts: &CheckOptions) -> Result<Verdict, Box<Div
                 }
             }
             if (i + 1) % ckpt == 0 {
-                check_superset("mirror", &unit, &ShadowView(&dift), &golden.touched_pages, i)?;
+                check_superset("mirror", &unit, &dift, &golden.touched_pages, i)?;
             }
         }
-        check_superset("mirror", &unit, &ShadowView(&dift), &golden.touched_pages, desugared.len())?;
+        check_superset("mirror", &unit, &dift, &golden.touched_pages, desugared.len())?;
         compare_precise("mirror", &dift, &golden)?;
         compare_violations("mirror", &violations, &golden)?;
     }
@@ -435,7 +426,7 @@ pub fn check(prog: &TestProgram, opts: &CheckOptions) -> Result<Verdict, Box<Div
             check_superset(
                 "s-latch",
                 s.latch(),
-                &ShadowView(s.dift()),
+                s.dift(),
                 &golden.touched_pages,
                 cpu.icount() as usize,
             )?;
@@ -466,10 +457,10 @@ pub fn check(prog: &TestProgram, opts: &CheckOptions) -> Result<Verdict, Box<Div
         for (i, ev) in desugared.iter().enumerate() {
             h.on_event(ev);
             if (i + 1) % ckpt == 0 {
-                check_superset("h-latch", h.latch(), &ShadowView(h.dift()), &golden.touched_pages, i)?;
+                check_superset("h-latch", h.latch(), h.dift(), &golden.touched_pages, i)?;
             }
         }
-        check_superset("h-latch", h.latch(), &ShadowView(h.dift()), &golden.touched_pages, desugared.len())?;
+        check_superset("h-latch", h.latch(), h.dift(), &golden.touched_pages, desugared.len())?;
         compare_precise("h-latch", h.dift(), &golden)?;
         let got = h.report().violations;
         if got != golden.violations.len() as u64 {
@@ -717,7 +708,7 @@ pub fn check(prog: &TestProgram, opts: &CheckOptions) -> Result<Verdict, Box<Div
             check_superset(
                 "overload-serve",
                 pipe.latch(),
-                &ShadowView(pipe.engine()),
+                pipe.engine(),
                 &golden.touched_pages,
                 desugared.len(),
             )?;

@@ -13,13 +13,14 @@
 //! and the Fig. 16 access distribution.
 
 use crate::baseline::CONVENTIONAL_TAINT_CACHE_BYTES;
+use crate::step::screen;
 use latch_core::config::{LatchConfig, LatchParams};
 use latch_core::stats::ResolvedAt;
 use latch_core::unit::LatchUnit;
 use latch_core::Addr;
 use latch_dift::engine::DiftEngine;
 use latch_dift::policy::TaintPolicy;
-use latch_sim::event::{Event, EventSource, MemAccessKind};
+use latch_sim::event::{Event, EventSource};
 use latch_sim::machine::apply_event_dift;
 use serde::{Deserialize, Serialize};
 
@@ -290,8 +291,10 @@ impl HLatch {
 
     /// Processes one retired instruction.
     pub fn on_event(&mut self, ev: &Event) {
-        // Commit-stage tag check for the memory operand.
-        if let Some(mem) = ev.mem {
+        // Commit-stage tag check for the memory operand. Register tags
+        // sit beside the register file; only memory reaches the caches.
+        let ctc_misses_before = self.latch.stats().ctc.misses;
+        if let (Some(mem), Some(out)) = (ev.mem, screen(&mut self.latch, ev).mem) {
             self.mem_accesses += 1;
             if self.unfiltered.access(mem.addr, mem.len) > 0 {
                 self.unfiltered_miss_accesses += 1;
@@ -299,11 +302,6 @@ impl HLatch {
             if self.small_unfiltered.access(mem.addr, mem.len) > 0 {
                 self.small_unfiltered_miss_accesses += 1;
             }
-            let ctc_misses_before = self.latch.stats().ctc.misses;
-            let out = match mem.kind {
-                MemAccessKind::Read => self.latch.check_read(mem.addr, mem.len),
-                MemAccessKind::Write => self.latch.check_write(mem.addr, mem.len),
-            };
             if self.latch.stats().ctc.misses > ctc_misses_before {
                 self.ctc_miss_accesses += 1;
             }

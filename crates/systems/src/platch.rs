@@ -19,11 +19,12 @@
 //!   stream.
 
 use crate::baseline::{LBA_OPTIMIZED_SLOWDOWN, LBA_SIMPLE_SLOWDOWN};
+use crate::step::{screen, write_back};
 use latch_core::config::LatchConfig;
 use latch_core::error::ConfigError;
 use latch_core::unit::LatchUnit;
 use latch_dift::engine::DiftEngine;
-use latch_sim::event::{Event, EventSource, MemAccessKind};
+use latch_sim::event::{Event, EventSource};
 use latch_sim::machine::apply_event_dift;
 use latch_sim::queue::{BoundedFifo, QueueStats};
 use serde::{Deserialize, Serialize};
@@ -149,6 +150,67 @@ impl QueueSimReport {
     }
 }
 
+/// The FIFO between the monitored core and the monitor core, plus the
+/// monitor's cycle budget. Both queue models drive their cores through
+/// it: the monitored core retires one instruction per cycle and the
+/// monitor dequeues one event per `analysis_cycles_per_event` cycles.
+#[derive(Debug)]
+struct TwoCoreQueue<T> {
+    fifo: BoundedFifo<T>,
+    analysis_cycles_per_event: u64,
+    credits: u64,
+}
+
+impl<T> TwoCoreQueue<T> {
+    fn try_new(capacity: usize, analysis_cycles_per_event: u64) -> Result<Self, ConfigError> {
+        Ok(Self {
+            fifo: BoundedFifo::try_new(capacity)?,
+            analysis_cycles_per_event: analysis_cycles_per_event.max(1),
+            credits: 0,
+        })
+    }
+
+    /// Gives the monitor `cycles` cycles, handing each event it
+    /// dequeues to `analyse`.
+    fn consume(&mut self, cycles: u64, mut analyse: impl FnMut(T)) {
+        self.credits += cycles;
+        while self.credits >= self.analysis_cycles_per_event {
+            let Some(item) = self.fifo.pop() else {
+                // The consumer cannot bank idle cycles: an empty queue
+                // leaves it at most one event's worth of credit.
+                self.credits = self.analysis_cycles_per_event;
+                return;
+            };
+            self.credits -= self.analysis_cycles_per_event;
+            analyse(item);
+        }
+    }
+
+    /// Enqueues `item`, stalling the monitored core one cycle at a time
+    /// (the monitor runs through each stall) until the queue accepts
+    /// it. Returns the stall cycles.
+    fn push(&mut self, mut item: T, mut analyse: impl FnMut(T)) -> u64 {
+        let mut stalls = 0;
+        loop {
+            match self.fifo.try_push(item) {
+                Ok(()) => return stalls,
+                Err(back) => {
+                    item = back;
+                    stalls += 1;
+                    self.consume(1, &mut analyse);
+                }
+            }
+        }
+    }
+
+    /// Runs the monitor until the queue is empty.
+    fn drain(&mut self, mut analyse: impl FnMut(T)) {
+        while !self.fifo.is_empty() {
+            self.consume(self.analysis_cycles_per_event, &mut analyse);
+        }
+    }
+}
+
 /// A cycle-approximate two-core queue simulation.
 ///
 /// The producer retires one instruction per cycle; the consumer spends
@@ -160,9 +222,7 @@ impl QueueSimReport {
 pub struct QueueSim {
     latch: Option<LatchUnit>,
     dift: DiftEngine,
-    queue: BoundedFifo<u64>,
-    analysis_cycles_per_event: u64,
-    credits: u64,
+    queue: TwoCoreQueue<u64>,
     report: QueueSimReport,
 }
 
@@ -196,23 +256,9 @@ impl QueueSim {
                 LatchUnit::new(LatchConfig::s_latch().build().expect("preset is valid"))
             }),
             dift: DiftEngine::new(),
-            queue: BoundedFifo::try_new(queue_capacity)?,
-            analysis_cycles_per_event: analysis_cycles_per_event.max(1),
-            credits: 0,
+            queue: TwoCoreQueue::try_new(queue_capacity, analysis_cycles_per_event)?,
             report: QueueSimReport::default(),
         })
-    }
-
-    fn consumer_tick(&mut self, cycles: u64) {
-        self.credits += cycles;
-        while self.credits >= self.analysis_cycles_per_event && !self.queue.is_empty() {
-            self.queue.pop();
-            self.credits -= self.analysis_cycles_per_event;
-        }
-        if self.queue.is_empty() {
-            // The consumer cannot bank idle cycles.
-            self.credits = self.credits.min(self.analysis_cycles_per_event);
-        }
     }
 
     /// Runs the simulation over a stream.
@@ -221,7 +267,7 @@ impl QueueSim {
         while let Some(ev) = src.next_event() {
             self.report.instrs += 1;
             self.report.producer_cycles += 1;
-            self.consumer_tick(1);
+            self.queue.consume(1, drop);
 
             let enqueue = match &mut self.latch {
                 None => true,
@@ -229,22 +275,12 @@ impl QueueSim {
             };
             if enqueue {
                 self.report.enqueued += 1;
-                let mut item = self.report.instrs;
-                // Stall until the queue accepts the event.
-                loop {
-                    match self.queue.try_push(item) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            item = back;
-                            self.report.stall_cycles += 1;
-                            self.report.producer_cycles += 1;
-                            self.consumer_tick(1);
-                        }
-                    }
-                }
+                let stalls = self.queue.push(self.report.instrs, drop);
+                self.report.stall_cycles += stalls;
+                self.report.producer_cycles += stalls;
             }
         }
-        self.report.queue = *self.queue.stats();
+        self.report.queue = *self.queue.fifo.stats();
         span.instrs(self.report.instrs);
         latch_obs::counter_add("systems.platch.enqueued", self.report.enqueued);
         latch_obs::counter_add("systems.platch.stall_cycles", self.report.stall_cycles);
@@ -260,40 +296,15 @@ impl QueueSim {
     /// core would do this; we keep it inline so the coarse state stays
     /// correct).
     fn coarse_hit(latch: &mut LatchUnit, dift: &mut DiftEngine, ev: &Event) -> bool {
-        let mut hit = ev
-            .regs
-            .reads()
-            .any(|r| latch.reg_tainted(r as usize))
-            || ev
-                .regs
-                .written
-                .is_some_and(|w| latch.reg_tainted(w as usize));
-        if let Some(mem) = ev.mem {
-            let out = match mem.kind {
-                MemAccessKind::Read => latch.check_read(mem.addr, mem.len),
-                MemAccessKind::Write => latch.check_write(mem.addr, mem.len),
-            };
-            hit |= out.coarse_tainted;
-        }
-        if ev.source.is_some() {
-            hit = true;
-        }
-        // Maintain precise + coarse state (monitor-side work).
+        let hit = screen(latch, ev).hit || ev.source.is_some();
+        // Maintain precise + coarse state (monitor-side work); the TRF
+        // mirrors the precise register state so the extraction-side
+        // screen stays coherent through taint updates.
         let step = apply_event_dift(dift, ev);
-        if let Some((addr, len, tainted)) = step.mem_taint_write {
-            latch.write_taint(addr, len, tainted);
-            if !tainted {
-                latch.clear_scan(dift.shadow());
-            }
-        }
-        // TRF mirrors the precise register state (P-LATCH keeps the
-        // extraction-side screen coherent through taint updates).
-        let packed = dift.regs().to_packed();
-        latch.trf_mut().load_packed(packed);
+        write_back(latch, dift, &step);
         hit || step.touched_taint
     }
 }
-
 
 /// Results of the lagged-coarse-state queue simulation.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -311,6 +322,52 @@ pub struct LaggedReport {
     pub pending: crate::pending::PendingStats,
 }
 
+/// The state both cores of the lagged model touch: the monitored
+/// core's coarse state and §5.2 trackers, and the monitor core's
+/// precise engine, which signals coarse updates back as it analyses.
+#[derive(Debug)]
+struct LaggedCoarse {
+    latch: LatchUnit,
+    monitor_dift: DiftEngine,
+    pending: crate::pending::PendingUpdates,
+    pending_regs: [u32; 16],
+    use_pending: bool,
+}
+
+impl LaggedCoarse {
+    /// The monitored core's screen: the coarse check, plus (with the
+    /// §5.2 FIFO on) the destinations of events still in flight.
+    fn selects(&mut self, ev: &Event) -> bool {
+        let mut hit = screen(&mut self.latch, ev).hit;
+        if self.use_pending {
+            hit |= ev
+                .regs
+                .reads()
+                .chain(ev.regs.written)
+                .any(|r| self.pending_regs[r as usize & 15] > 0);
+            if let Some(mem) = ev.mem {
+                hit |= self.pending.covers(mem.addr, mem.len);
+            }
+        }
+        hit || ev.source.is_some() || ev.ctrl.is_some() || ev.sink.is_some()
+    }
+
+    /// Monitor work for one dequeued event: precise analysis, then the
+    /// coarse-state update signalled back to the monitored core, which
+    /// retires the event's pending entries.
+    fn analyse(&mut self, (ev, tracked): (Event, bool)) {
+        let step = apply_event_dift(&mut self.monitor_dift, &ev);
+        write_back(&mut self.latch, &self.monitor_dift, &step);
+        if tracked {
+            self.pending.ack();
+        }
+        if let Some(w) = ev.regs.written {
+            let slot = &mut self.pending_regs[w as usize & 15];
+            *slot = slot.saturating_sub(1);
+        }
+    }
+}
+
 /// The *honest* two-core model: taint propagation runs only on the
 /// monitor core, so the monitored core's coarse state (CTC/CTT, TRF)
 /// lags by the queue depth. Destination operands of in-flight events
@@ -320,15 +377,9 @@ pub struct LaggedReport {
 /// paper warns about (see the tests).
 #[derive(Debug)]
 pub struct LaggedQueueSim {
-    latch: LatchUnit,
-    monitor_dift: DiftEngine,
+    coarse: LaggedCoarse,
     oracle_dift: DiftEngine,
-    queue: BoundedFifo<(Event, bool)>,
-    pending: crate::pending::PendingUpdates,
-    pending_regs: [u32; 16],
-    use_pending: bool,
-    analysis_cycles_per_event: u64,
-    credits: u64,
+    queue: TwoCoreQueue<(Event, bool)>,
     report: LaggedReport,
 }
 
@@ -356,15 +407,15 @@ impl LaggedQueueSim {
         use_pending: bool,
     ) -> Result<Self, ConfigError> {
         Ok(Self {
-            latch: LatchUnit::new(LatchConfig::s_latch().build().expect("preset is valid")),
-            monitor_dift: DiftEngine::new(),
+            coarse: LaggedCoarse {
+                latch: LatchUnit::new(LatchConfig::s_latch().build().expect("preset is valid")),
+                monitor_dift: DiftEngine::new(),
+                pending: crate::pending::PendingUpdates::new(),
+                pending_regs: [0; 16],
+                use_pending,
+            },
             oracle_dift: DiftEngine::new(),
-            queue: BoundedFifo::try_new(queue_capacity)?,
-            pending: crate::pending::PendingUpdates::new(),
-            pending_regs: [0; 16],
-            use_pending,
-            analysis_cycles_per_event: analysis_cycles_per_event.max(1),
-            credits: 0,
+            queue: TwoCoreQueue::try_new(queue_capacity, analysis_cycles_per_event)?,
             report: LaggedReport::default(),
         })
     }
@@ -372,65 +423,7 @@ impl LaggedQueueSim {
     /// The monitor-side DIFT engine (authoritative taint state for the
     /// analysed stream).
     pub fn monitor_dift(&self) -> &DiftEngine {
-        &self.monitor_dift
-    }
-
-    fn consumer_tick(&mut self, cycles: u64) {
-        self.credits += cycles;
-        while self.credits >= self.analysis_cycles_per_event {
-            let Some((ev, tracked)) = self.queue.pop() else {
-                self.credits = self.credits.min(self.analysis_cycles_per_event);
-                return;
-            };
-            self.credits -= self.analysis_cycles_per_event;
-            // Monitor work: precise analysis, then coarse-state update
-            // signalled back to the monitored core.
-            let step = apply_event_dift(&mut self.monitor_dift, &ev);
-            if let Some((addr, len, tainted)) = step.mem_taint_write {
-                self.latch.write_taint(addr, len, tainted);
-                if !tainted {
-                    self.latch.clear_scan(self.monitor_dift.shadow());
-                }
-            }
-            let packed = self.monitor_dift.regs().to_packed();
-            self.latch.trf_mut().load_packed(packed);
-            if tracked {
-                self.pending.ack();
-            }
-            if let Some(w) = ev.regs.written {
-                let slot = &mut self.pending_regs[w as usize & 15];
-                *slot = slot.saturating_sub(1);
-            }
-        }
-    }
-
-    fn screen(&mut self, ev: &Event) -> bool {
-        let mut hit = ev
-            .regs
-            .reads()
-            .any(|r| self.latch.reg_tainted(r as usize))
-            || ev
-                .regs
-                .written
-                .is_some_and(|w| self.latch.reg_tainted(w as usize));
-        if self.use_pending {
-            hit |= ev.regs.reads().any(|r| self.pending_regs[r as usize & 15] > 0)
-                || ev
-                    .regs
-                    .written
-                    .is_some_and(|w| self.pending_regs[w as usize & 15] > 0);
-        }
-        if let Some(mem) = ev.mem {
-            let out = match mem.kind {
-                MemAccessKind::Read => self.latch.check_read(mem.addr, mem.len),
-                MemAccessKind::Write => self.latch.check_write(mem.addr, mem.len),
-            };
-            hit |= out.coarse_tainted;
-            if self.use_pending {
-                hit |= self.pending.covers(mem.addr, mem.len);
-            }
-        }
-        hit || ev.source.is_some() || ev.ctrl.is_some() || ev.sink.is_some()
+        &self.coarse.monitor_dift
     }
 
     /// Runs the simulation over an event stream.
@@ -438,46 +431,34 @@ impl LaggedQueueSim {
         let mut span = latch_obs::phase("platch.lagged_sim");
         while let Some(ev) = src.next_event() {
             self.report.instrs += 1;
-            self.consumer_tick(1);
-            let enqueue = self.screen(&ev);
+            self.queue.consume(1, |item| self.coarse.analyse(item));
+            let enqueue = self.coarse.selects(&ev);
             // Oracle: the taint truth if analysis were synchronous.
             let oracle_step = apply_event_dift(&mut self.oracle_dift, &ev);
             if enqueue {
                 self.report.enqueued += 1;
-                // Track the destination operand while the event is in
+                // Track the destination operands while the event is in
                 // flight (paper §5.2).
                 let tracked = match oracle_step.mem_taint_write {
                     Some((addr, len, _)) => {
-                        self.pending.push(addr, len);
+                        self.coarse.pending.push(addr, len);
                         true
                     }
                     None => false,
                 };
                 if let Some(w) = ev.regs.written {
-                    self.pending_regs[w as usize & 15] += 1;
+                    self.coarse.pending_regs[w as usize & 15] += 1;
                 }
-                let mut item = (ev, tracked);
-                loop {
-                    match self.queue.try_push(item) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            item = back;
-                            self.report.stall_cycles += 1;
-                            self.consumer_tick(1);
-                        }
-                    }
-                }
+                self.report.stall_cycles +=
+                    self.queue.push((ev, tracked), |item| self.coarse.analyse(item));
             } else if oracle_step.touched_taint {
                 // The screen let a taint-touching event through
                 // unanalysed: a false negative.
                 self.report.false_negatives += 1;
             }
         }
-        // Drain the queue.
-        while !self.queue.is_empty() {
-            self.consumer_tick(self.analysis_cycles_per_event);
-        }
-        self.report.pending = *self.pending.stats();
+        self.queue.drain(|item| self.coarse.analyse(item));
+        self.report.pending = *self.coarse.pending.stats();
         span.instrs(self.report.instrs);
         latch_obs::counter_add("systems.platch.lagged.enqueued", self.report.enqueued);
         latch_obs::counter_add(
@@ -486,7 +467,7 @@ impl LaggedQueueSim {
         );
         latch_obs::watermark(
             "systems.platch.lagged.queue_high_water",
-            self.queue.stats().max_occupancy as u64,
+            self.queue.fifo.stats().max_occupancy as u64,
         );
         self.report.clone()
     }

@@ -3,11 +3,18 @@
 //! One `SessionPipeline` bundles everything one monitored instruction
 //! stream needs: the coarse [`LatchUnit`] screen, the byte-precise
 //! [`DiftEngine`] mirror, the paper's activity-window forwarding state,
-//! and the violation log. The per-event semantics are exactly the
-//! producer-side screen of [`run_resilient`](crate::platch_mt::run_resilient)
-//! — this module is that logic extracted so that it can be owned by one
-//! pipeline *or* multiplexed across many sessions by the serving layer
-//! (`latch-serve`).
+//! and the violation log. It is the producer-side screen of
+//! [`run_resilient`](crate::platch_mt::run_resilient), and the
+//! per-event step of `latchd`, where the serving layer (`latch-serve`)
+//! multiplexes many sessions.
+//!
+//! [`apply`](SessionPipeline::apply) is the crate's shared LATCH step:
+//! screen, precise DIFT, write-back. A screen hit, a source, control
+//! check or sink, or a taint-touching event is selected and opens an
+//! [`ACTIVITY_WINDOW`] of forwarded events after it.
+//! [`apply_coarse_only`](SessionPipeline::apply_coarse_only) keeps the
+//! screen and the selection rule but replaces precise DIFT with a
+//! monotone coarse over-approximation.
 //!
 //! The whole pipeline round-trips through a binary snapshot
 //! ([`to_snapshot`](SessionPipeline::to_snapshot) /
@@ -18,6 +25,7 @@
 //! the serving layer.
 
 use crate::platch::ACTIVITY_WINDOW;
+use crate::step::{screen, write_back};
 use latch_core::config::LatchConfig;
 use latch_core::isa_ext::LatchInstr;
 use latch_core::snapshot::{SnapError, SnapReader, SnapWriter};
@@ -26,7 +34,7 @@ use latch_core::unit::LatchUnit;
 use latch_dift::engine::{DiftEngine, DiftStats};
 use latch_dift::policy::SecurityViolation;
 use latch_dift::prop::PropRule;
-use latch_sim::event::{Event, MemAccessKind};
+use latch_sim::event::Event;
 use latch_sim::machine::apply_event_dift;
 
 /// Snapshot magic: "LTSE" (LaTch SEssion).
@@ -79,52 +87,20 @@ impl SessionPipeline {
     /// the filtering decision of paper Fig. 11.
     pub fn apply(&mut self, ev: &Event) -> bool {
         let index = self.applied;
-        let mut penalty = 0u64;
-        let mut hit = ev.regs.reads().any(|r| self.latch.reg_tainted(r as usize))
-            || ev
-                .regs
-                .written
-                .is_some_and(|w| self.latch.reg_tainted(w as usize));
-        if let Some(mem) = ev.mem {
-            let out = match mem.kind {
-                MemAccessKind::Read => self.latch.check_read(mem.addr, mem.len),
-                MemAccessKind::Write => self.latch.check_write(mem.addr, mem.len),
-            };
-            hit |= out.coarse_tainted;
-            penalty += out.penalty_cycles;
-        }
-        hit |= ev.source.is_some() || ev.ctrl.is_some() || ev.sink.is_some();
+        let coarse = screen(&mut self.latch, ev);
         let step = apply_event_dift(&mut self.engine, ev);
+        let penalty = coarse.mem.map_or(0, |out| out.penalty_cycles)
+            + write_back(&mut self.latch, &self.engine, &step);
         if let Some(v) = step.violation {
             self.violations.push((index, v));
         }
-        if let Some((addr, len, tainted)) = step.mem_taint_write {
-            let out = self.latch.write_taint(addr, len, tainted);
-            penalty += out.penalty_cycles;
-            if !tainted {
-                self.latch.clear_scan(self.engine.shadow());
-            }
-        }
-        let packed = self.engine.regs().to_packed();
-        self.latch.trf_mut().load_packed(packed);
         if self.scrub_interval > 0 && (index + 1).is_multiple_of(self.scrub_interval) {
             self.latch.scrub(self.engine.shadow());
         }
-        let selected = if hit || step.touched_taint {
-            self.window_left = ACTIVITY_WINDOW;
-            true
-        } else if self.window_left > 0 {
-            self.window_left -= 1;
-            true
-        } else {
-            false
-        };
-        self.applied += 1;
-        if selected {
-            self.selected += 1;
-        }
-        self.cycles += 1 + penalty;
-        selected
+        self.retire(
+            coarse.hit || forces_selection(ev) || step.touched_taint,
+            1 + penalty,
+        )
     }
 
     /// Retires one event through the coarse tier only (degraded mode,
@@ -142,19 +118,7 @@ impl SessionPipeline {
     /// and replaying the deferred events through [`apply`](Self::apply),
     /// so nothing mutated here outlives the span.
     pub fn apply_coarse_only(&mut self, ev: &Event) -> bool {
-        let mut hit = ev.regs.reads().any(|r| self.latch.reg_tainted(r as usize))
-            || ev
-                .regs
-                .written
-                .is_some_and(|w| self.latch.reg_tainted(w as usize));
-        if let Some(mem) = ev.mem {
-            let out = match mem.kind {
-                MemAccessKind::Read => self.latch.check_read(mem.addr, mem.len),
-                MemAccessKind::Write => self.latch.check_write(mem.addr, mem.len),
-            };
-            hit |= out.coarse_tainted;
-        }
-        hit |= ev.source.is_some() || ev.ctrl.is_some() || ev.sink.is_some();
+        let hit = screen(&mut self.latch, ev).hit || forces_selection(ev);
         if let Some(src) = ev.source {
             if !src.trusted {
                 let _ = self.latch.write_taint(src.addr, src.len, true);
@@ -173,7 +137,15 @@ impl SessionPipeline {
         {
             let _ = self.latch.write_taint(addr, len, true);
         }
-        let selected = if hit {
+        self.retire(hit, 1)
+    }
+
+    /// Counts one retired event costing `cycles` and applies the
+    /// paper's activity-window rule: an `active` event opens a window
+    /// of [`ACTIVITY_WINDOW`] events that are forwarded after it.
+    /// Returns whether this event is selected for a monitor.
+    fn retire(&mut self, active: bool, cycles: u64) -> bool {
+        let selected = if active {
             self.window_left = ACTIVITY_WINDOW;
             true
         } else if self.window_left > 0 {
@@ -186,7 +158,7 @@ impl SessionPipeline {
         if selected {
             self.selected += 1;
         }
-        self.cycles += 1;
+        self.cycles += cycles;
         selected
     }
 
@@ -328,6 +300,12 @@ impl SessionPipeline {
             violations,
         })
     }
+}
+
+/// Event kinds a monitor must always see: taint sources, control-flow
+/// checks and sinks.
+fn forces_selection(ev: &Event) -> bool {
+    ev.source.is_some() || ev.ctrl.is_some() || ev.sink.is_some()
 }
 
 /// Deterministic per-session results: identical for the same event

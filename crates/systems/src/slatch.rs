@@ -18,13 +18,14 @@
 
 use crate::baseline::LibdftBaseline;
 use crate::cost::CostModel;
+use crate::step::screen;
 use latch_core::config::{LatchConfig, LatchParams};
 use latch_core::mode::{Mode, ModeController, TrapOutcome};
 use latch_core::unit::LatchUnit;
 use latch_core::PreciseView;
 use latch_dift::engine::DiftEngine;
 use latch_dift::policy::TaintPolicy;
-use latch_sim::event::{Event, EventSource, MemAccessKind};
+use latch_sim::event::{Event, EventSource};
 use latch_sim::machine::apply_event_dift;
 use latch_workloads::BenchmarkProfile;
 use serde::{Deserialize, Serialize};
@@ -166,22 +167,13 @@ impl SLatch {
     /// Whether the event's operands are *precisely* tainted — the
     /// exception handler's check (§5.1.2).
     fn precisely_tainted(&self, ev: &Event) -> bool {
-        if let Some(mem) = ev.mem {
-            if self.dift.shadow().any_tainted(mem.addr, mem.len) {
-                return true;
-            }
-        }
-        for r in ev.regs.reads() {
-            if self.dift.regs().is_tainted(r as usize) {
-                return true;
-            }
-        }
-        if let Some(w) = ev.regs.written {
-            if self.dift.regs().is_tainted(w as usize) {
-                return true;
-            }
-        }
-        false
+        ev.mem
+            .is_some_and(|mem| self.dift.shadow().any_tainted(mem.addr, mem.len))
+            || ev
+                .regs
+                .reads()
+                .chain(ev.regs.written)
+                .any(|r| self.dift.regs().is_tainted(r as usize))
     }
 
     /// Processes one retired instruction.
@@ -218,21 +210,12 @@ impl SLatch {
         }
 
         // The coarse screen: TRF for registers, TLB+CTC for memory.
-        let mut coarse_hit = ev.regs.reads().any(|r| self.latch.reg_tainted(r as usize))
-            || ev
-                .regs
-                .written
-                .is_some_and(|w| self.latch.reg_tainted(w as usize));
-        if let Some(mem) = ev.mem {
-            let out = match mem.kind {
-                MemAccessKind::Read => self.latch.check_read(mem.addr, mem.len),
-                MemAccessKind::Write => self.latch.check_write(mem.addr, mem.len),
-            };
+        let coarse = screen(&mut self.latch, ev);
+        if let Some(out) = coarse.mem {
             self.breakdown.ctc_misses += out.penalty_cycles as f64;
-            coarse_hit |= out.coarse_tainted;
         }
 
-        if coarse_hit {
+        if coarse.hit {
             // Trap: the handler checks the precise state (`ltnt`).
             self.breakdown.fp_checks += self.cost.fp_check_cycles as f64;
             let precise = self.precisely_tainted(ev);
@@ -283,7 +266,7 @@ impl SLatch {
                     at_instr: self.native_cycles,
                 },
             );
-            let report = self.latch.clear_scan(&ShadowView(&self.dift));
+            let report = self.latch.clear_scan(&self.dift);
             self.breakdown.fp_checks +=
                 (report.domains_scanned * self.cost.clear_scan_cycles_per_domain) as f64;
             let packed = self.dift.regs().to_packed();
@@ -378,16 +361,6 @@ impl SLatch {
             violations: self.violations,
             libdft_slowdown: self.libdft_slowdown,
         }
-    }
-}
-
-/// Adapter exposing the DIFT engine's shadow as a [`PreciseView`]
-/// without borrowing the whole system.
-struct ShadowView<'a>(&'a DiftEngine);
-
-impl PreciseView for ShadowView<'_> {
-    fn any_tainted(&self, start: latch_core::Addr, len: u32) -> bool {
-        self.0.shadow().any_tainted(start, len)
     }
 }
 

@@ -21,9 +21,11 @@ echo "==> cargo test -q (obs on)"
 cargo test -q --workspace --features "$OBS_FEATURES"
 
 # `cargo test -q` runs only the root package, so the wire and cluster
-# crates are tested explicitly in their shipping (obs off) configuration.
-echo "==> latch-proto, latch-client, latch-router, latch-replica (obs off)"
-cargo test -q -p latch-proto -p latch-client -p latch-router -p latch-replica
+# crates, and the systems and workload crates with their pin tests, are
+# tested explicitly in their shipping (obs off) configuration.
+echo "==> latch-proto, latch-client, latch-router, latch-replica, latch-systems, latch-workloads (obs off)"
+cargo test -q -p latch-proto -p latch-client -p latch-router -p latch-replica \
+    -p latch-systems -p latch-workloads
 
 # The serving layer is exercised explicitly in both observability
 # configurations, plus the fixed-seed eight-worker stress test
